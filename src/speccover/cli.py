@@ -8,7 +8,8 @@ byte-identical bytes; the only nondeterministic field is the timing entry in
 the provenance block, which the repro comparison strips.
 
 Exit codes: 0 success, 1 verdict-level failure (a repro assertion tripped),
-2 malformed or semantically invalid input, 3 internal error.
+2 malformed or semantically invalid input, or a valid job whose answer the
+package cannot represent, 3 internal error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
     NonReducedCurveError,
     PullbackSectionError,
     ShapeError,
+    SingularityNotRepresentableError,
     SpecCoverError,
     UnsupportedCoverError,
 )
@@ -59,12 +61,10 @@ from .spectral import (
     spectral_curve,
 )
 from .stability import (
-    certify_integrality,
     double_cover_verdict,
     gieseker_verdict,
     graded_degrees,
     hilbert_poly,
-    invariant_subsheaf_search,
     pushforward_relation_check,
 )
 
@@ -72,7 +72,8 @@ SCHEMA_VERSION = "1"
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "repro_golden.json")
 
-# errors that mean "the job asked for something its data cannot support"
+# errors that mean "the job asked for something its data cannot support",
+# or for an answer the package cannot represent
 _INPUT_ERRORS = (
     JobError,
     DegreeError,
@@ -82,6 +83,7 @@ _INPUT_ERRORS = (
     NonDepressedCubicError,
     NonReducedCurveError,
     PullbackSectionError,
+    SingularityNotRepresentableError,
     UnsupportedCoverError,
 )
 
@@ -265,8 +267,9 @@ def _run_singular(job, chart):
 
 def _run_factor(job, chart):
     sec = _section_from_job(job)
-    report = intermediate_factorization(sec)
-    verdict = birationality_verdict(sec)
+    curve = spectral_curve(sec)
+    report = intermediate_factorization(sec, curve)
+    verdict = birationality_verdict(report, curve)
     results = {
         "factorization": sz.factorization_to_json(report),
         "birationality": sz.birationality_to_json(verdict),
@@ -307,9 +310,7 @@ def _run_stability(job, chart):
         raise JobError(f"m_degrees: {exc}") from exc
     ample = job.get("ample_degree", 1)
     r = sec.cover.degree
-    verdict = gieseker_verdict(m_degrees, sec, ample)
-    search = invariant_subsheaf_search(m_degrees, sec, ample)
-    integrality = certify_integrality(sec)
+    verdict, search, integrality = gieseker_verdict(m_degrees, sec, ample)
     graded = graded_degrees(m_degrees, r)
     results = {
         "verdict": sz.verdict_to_json(verdict),
@@ -501,7 +502,7 @@ def repro_spot_checks(seed: int) -> dict:
         comps = {k: _rand_form(rng, d - 1) for k in support}
         sec = SectionData(make_standard_cyclic(r), d, comps)
         curve = spectral_curve(sec)
-        g = intermediate_factorization(sec).subcover_index
+        g = intermediate_factorization(sec, curve).subcover_index
         power = curve.annihilating
         for _ in range(g - 1):
             power = power * curve.annihilating
@@ -524,7 +525,7 @@ def repro_spot_checks(seed: int) -> dict:
         if rng.random() < 0.5:
             comps[0] = _rand_form(rng, d)
         sec = SectionData(make_standard_cyclic(2), d, comps)
-        direct = gieseker_verdict(SplitBundle(degrees), sec)
+        direct, _, _ = gieseker_verdict(SplitBundle(degrees), sec)
         shortcut = double_cover_verdict(SplitBundle(degrees), sec)
         ok = ok and direct.status == shortcut.status
     checks["verdict_agreement"] = ok

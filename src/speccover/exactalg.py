@@ -985,41 +985,6 @@ def det_cofactor(mat: list[list[EtaPoly]]) -> EtaPoly:
     return minor(0, (1 << n) - 1)
 
 
-def det_bareiss(mat: list[list[EtaPoly]]) -> EtaPoly:
-    """Fraction-free Bareiss elimination; exact over Q[w][eta]."""
-    n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
-        raise ShapeError("determinant needs a nonempty square matrix")
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = EtaPoly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot_row is None:
-                return EtaPoly.zero()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = EtaPoly.zero()
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
-
-
-def eta_det(mat: list[list[EtaPoly]], method: str = "auto") -> EtaPoly:
-    if method == "auto":
-        method = "cofactor" if len(mat) <= 6 else "bareiss"
-    if method == "cofactor":
-        return det_cofactor(mat)
-    if method == "bareiss":
-        return det_bareiss(mat)
-    raise ValueError(f"unknown determinant method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # matrices over Q[w] and their characteristic / minimal polynomials
 
@@ -1102,7 +1067,7 @@ class PolyMatrix:
         return f"PolyMatrix({body})"
 
 
-def char_poly_matrix(a: PolyMatrix, method: str = "auto") -> EtaPoly:
+def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
     """det(eta * id - A), monic of degree n in eta."""
     n = a.n
     mat = []
@@ -1115,7 +1080,7 @@ def char_poly_matrix(a: PolyMatrix, method: str = "auto") -> EtaPoly:
             else:
                 row.append(EtaPoly((-entry,)) if not entry.is_zero() else EtaPoly.zero())
         mat.append(row)
-    out = eta_det(mat, method=method)
+    out = det_cofactor(mat)
     if out.degree() != n or out.lead != UniPoly.one():
         raise InternalCheckError("characteristic polynomial is not monic of the right degree")
     return out
@@ -1163,10 +1128,9 @@ def eta_gcd(f: EtaPoly, g: EtaPoly) -> EtaPoly:
     return a.scale(1 / a.lead.lead)
 
 
-def min_poly_matrix(a: PolyMatrix, method: str = "auto") -> EtaPoly:
-    """Squarefree part of the characteristic polynomial, verified to
-    annihilate the matrix exactly."""
-    char = char_poly_matrix(a, method=method)
+def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> EtaPoly:
+    """Squarefree part of ``char``, the characteristic polynomial of ``a``,
+    verified to annihilate the matrix exactly."""
     g = eta_gcd(char, char.deta())
     if g.degree() == 0:
         minimal = char
@@ -1319,10 +1283,3 @@ def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
         la = a[-1].inv()
         a = [c * la for c in a]
     return a
-
-
-def kpoly_eval(cs: Sequence[ExtElem], x: ExtElem) -> ExtElem:
-    acc = ExtElem(x.modulus, UniPoly.zero())
-    for c in reversed(list(cs)):
-        acc = acc * x + c
-    return acc

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .covers import SectionData, is_standard_cyclic, make_standard_cyclic
 from .errors import InternalCheckError, UnsupportedCoverError
 from .exactalg import ProjPoint
-from .spectral import SpectralCurve, annihilating_poly, invariant_sections, spectral_curve
+from .spectral import SpectralCurve, invariant_sections
 
 PULLBACK = "pullback"
 BIRATIONAL = "birational"
@@ -57,13 +57,14 @@ def _require_standard(sec: SectionData) -> int:
     return sec.cover.degree
 
 
-def intermediate_factorization(sec: SectionData) -> FactorizationReport:
+def intermediate_factorization(sec: SectionData, curve: SpectralCurve) -> FactorizationReport:
     """Factor the section through the smallest cover that carries it.
 
-    The subcover index is gcd(r, support); the factored section tau keeps
-    the same twist and reads off every g-th component.  Two exact identities
-    are checked before returning: tau re-expands to the original section,
-    and the full characteristic polynomial is the g-th power of tau's.
+    ``curve`` is ``spectral_curve(sec)``.  The subcover index is
+    gcd(r, support); the factored section tau keeps the same twist and reads
+    off every g-th component.  Two exact identities are checked before
+    returning: tau re-expands to the original section, and the full
+    characteristic polynomial is the g-th power of tau's.
     """
     r = _require_standard(sec)
     support = [rho[0] for rho in sec.components if rho and rho[0] != 0]
@@ -85,8 +86,8 @@ def intermediate_factorization(sec: SectionData) -> FactorizationReport:
     if SectionData(sec.cover, sec.twist_degree, pulled) != sec:
         raise InternalCheckError("pulled-back tau does not reproduce the section")
 
-    char = invariant_sections(sec).char_form()
-    reduced = annihilating_poly(sec)
+    char = curve.char.char_form()
+    reduced = curve.annihilating
     if (reduced**g).coeffs != char.coeffs:
         raise InternalCheckError(
             "characteristic polynomial is not the expected power of the reduced one"
@@ -146,17 +147,21 @@ def _distinct_fiber_base(curve: SpectralCurve):
     return None
 
 
-def birationality_verdict(sec: SectionData) -> BirationalityVerdict:
-    """Classify the induced map from the source onto the curve."""
-    report = intermediate_factorization(sec)
+def birationality_verdict(
+    report: FactorizationReport, curve: SpectralCurve
+) -> BirationalityVerdict:
+    """Classify the induced map from the source onto the curve.
+
+    ``report`` is ``intermediate_factorization(sec, curve)``.
+    """
     if report.verdict == PULLBACK:
-        if sec.is_zero():
+        if report.tau.is_zero():
             note = "the zero section gives the zero field"
         else:
             note = "multiplication acts as the scalar h_0"
         return BirationalityVerdict(PULLBACK, note, tau=report.tau)
     if report.verdict == BIRATIONAL:
-        base = _distinct_fiber_base(spectral_curve(sec))
+        base = _distinct_fiber_base(curve)
         if base is None:
             return BirationalityVerdict(
                 BIRATIONAL,

@@ -289,12 +289,18 @@ def invariant_sections(sec: SectionData) -> CharData:
     return CharData(r, d, elementary)
 
 
-def annihilating_poly(sec: SectionData) -> EtaForm:
-    """Reduced (squarefree) part of the characteristic polynomial."""
+def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
+    """Reduced (squarefree) part of the characteristic polynomial.
+
+    ``char`` is ``invariant_sections(sec)``.  Each chart's squarefree part is
+    taken from it and checked to annihilate that chart's matrix.
+    """
     d = sec.twist_degree
+    char_form = char.char_form()
     forms = []
     for chart in (0, 1):
-        mp = min_poly_matrix(mult_matrix(sec, chart))
+        cp = char_form.dehomogenize(chart)
+        mp = min_poly_matrix(mult_matrix(sec, chart), cp)
         forms.append(_homogenized_eta(mp, d, chart, "annihilating polynomial"))
     if forms[0].coeffs != forms[1].coeffs:
         raise InternalCheckError("charts disagree on the annihilating polynomial")
@@ -308,7 +314,7 @@ def spectral_curve(sec: SectionData) -> SpectralCurve:
     otherwise the integrality flag starts out uncertified.
     """
     char = invariant_sections(sec)
-    annih = annihilating_poly(sec)
+    annih = annihilating_poly(sec, char)
     quotient = char.char_form().dehomogenize(0)
     reduced = annih.dehomogenize(0)
     try:

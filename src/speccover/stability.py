@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedCoverError,
 )
 from .exactalg import EtaPoly, PolyMatrix, UniPoly, as_rat, poly_gcd, rational_roots
-from .spectral import annihilating_poly
+from .spectral import EtaForm, SpectralCurve, spectral_curve
 
 STABLE = "stable"
 SEMISTABLE = "strictly-semistable"
@@ -182,16 +182,16 @@ class RootSearch:
     base: Fraction = None
 
 
-def polynomial_eta_roots(sec: SectionData) -> RootSearch:
+def polynomial_eta_roots(sec: SectionData, form: EtaForm) -> RootSearch:
     """All roots of the reduced curve equation that are polynomial in the base.
 
-    A polynomial branch takes a rational value at any rational base point, so
-    lifting every rational fiber root at one unramified base value and then
-    verifying the truncations by exact substitution is exhaustive.
+    ``form`` is the annihilating polynomial of ``sec``.  A polynomial branch
+    takes a rational value at any rational base point, so lifting every
+    rational fiber root at one unramified base value and then verifying the
+    truncations by exact substitution is exhaustive.
     """
     r = _require_standard(sec)
     d = sec.twist_degree
-    form = annihilating_poly(sec)
     f = form.dehomogenize(0)
     if form.degree == 1:
         return RootSearch((UniPoly.zero() - f.coeff(0),), True)
@@ -328,14 +328,15 @@ def _line_degree(vec, degrees) -> int:
 
 
 def invariant_subsheaf_search(
-    m_degrees: SplitBundle, sec: SectionData, ample_degree: int = 1
+    m_degrees: SplitBundle, sec: SectionData, roots: RootSearch, ample_degree: int = 1
 ) -> SearchResult:
     """Block subsheaves and polynomial eigen lines of the induced Higgs pair.
 
-    Blocks are invariant because multiplication by the section never mixes
-    the upstairs summands.  Eigen lines are saturated line subsheaves spanned
-    by a kernel vector of the matrix minus a polynomial eigenvalue; for each
-    eigenvalue the basis vector giving the largest line degree is kept.
+    ``roots`` is ``polynomial_eta_roots`` of the section.  Blocks are
+    invariant because multiplication by the section never mixes the upstairs
+    summands.  Eigen lines are saturated line subsheaves spanned by a kernel
+    vector of the matrix minus a polynomial eigenvalue; for each eigenvalue
+    the basis vector giving the largest line degree is kept.
     """
     r = _require_standard(sec)
     ell = m_degrees.rank
@@ -357,12 +358,11 @@ def invariant_subsheaf_search(
             )
     records.sort(key=lambda rec: (len(rec.indices), rec.indices))
 
-    search = polynomial_eta_roots(sec)
     notes = ()
-    if not search.complete:
+    if not roots.complete:
         notes = ("eigenvalue search incomplete: every sampled base value was ramified",)
     eigen = []
-    for lam in search.roots:
+    for lam in roots.roots:
         candidates = []
         offset = 0
         for a in m_degrees.degrees:
@@ -400,7 +400,7 @@ def invariant_subsheaf_search(
         )
     eigen.sort(key=lambda rec: (rec.eigenvalue.degree(), rec.eigenvalue.coeffs))
     records.extend(eigen)
-    return SearchResult(tuple(records), search.complete, notes)
+    return SearchResult(tuple(records), roots.complete, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -421,28 +421,29 @@ class IntegralityReport:
     reasons: tuple = ()
 
 
-def certify_integrality(sec: SectionData, roots: RootSearch = None) -> IntegralityReport:
+def certify_integrality(
+    sec: SectionData, curve: SpectralCurve, roots: RootSearch
+) -> IntegralityReport:
     """Certificate that the spectral curve is reduced and irreducible.
 
-    The curve of a degree-one cover is a graph, hence integral.  Otherwise
-    the certificate needs the support gcd to be 1 (the curve equation is not
-    a proper power and the fiber values form a single orbit) and a complete
-    eigenvalue search with no polynomial branch.
+    ``curve`` is ``spectral_curve(sec)`` and ``roots`` its
+    ``polynomial_eta_roots``.  The curve of a degree-one cover is a graph,
+    hence integral.  Otherwise the certificate needs the support gcd to be 1
+    (the curve equation is not a proper power and the fiber values form a
+    single orbit) and a complete eigenvalue search with no polynomial branch.
     """
     from .factorization import intermediate_factorization
 
     r = sec.cover.degree
     if r == 1:
         return IntegralityReport(True)
-    report = intermediate_factorization(sec)
+    report = intermediate_factorization(sec, curve)
     reasons = []
     if report.subcover_index > 1:
         reasons.append(
             f"curve equation is a proper power (exponent {report.subcover_index})"
         )
         return IntegralityReport(False, tuple(reasons))
-    if roots is None:
-        roots = polynomial_eta_roots(sec)
     if not roots.complete:
         reasons.append("eigenvalue search incomplete")
     elif roots.roots:
@@ -456,7 +457,7 @@ def _total_poly(m_degrees: SplitBundle, r: int, ample_degree: int) -> HilbertPol
 
 def gieseker_verdict(
     m_degrees: SplitBundle, sec: SectionData, ample_degree: int = 1
-) -> StabilityVerdict:
+) -> tuple[StabilityVerdict, SearchResult, IntegralityReport]:
     """Stability of the induced pair, decided by the direct subsheaf search.
 
     A record strictly above the total polynomial is a proof of instability
@@ -464,22 +465,29 @@ def gieseker_verdict(
     than an empty search: the search must be complete and the spectral curve
     certified integral, since then kernel-line and block candidates are the
     only invariant subsheaves there are.  Anything less stays undetermined.
+
+    Returns the verdict together with the search and the integrality report
+    it was decided from.
     """
     r = _require_standard(sec)
-    search = invariant_subsheaf_search(m_degrees, sec, ample_degree)
+    curve = spectral_curve(sec)
+    roots = polynomial_eta_roots(sec, curve.annihilating)
+    search = invariant_subsheaf_search(m_degrees, sec, roots, ample_degree)
+    integrality = certify_integrality(sec, curve, roots)
     total = _total_poly(m_degrees, r, ample_degree)
     above = [rec for rec in search.records if precedes(total, rec.hilbert, strict=True)]
+    equal = [rec for rec in search.records if rec.hilbert == total]
     if above:
         witness = max(above, key=lambda rec: (rec.hilbert.linear, rec.hilbert.constant))
-        return StabilityVerdict(UNSTABLE, witness, "direct-search", search.notes)
-    equal = [rec for rec in search.records if rec.hilbert == total]
-    if equal:
-        return StabilityVerdict(SEMISTABLE, equal[0], "direct-search", search.notes)
-    integrality = certify_integrality(sec)
-    if search.complete and integrality.certified:
-        return StabilityVerdict(STABLE, None, "prop-stability", search.notes)
-    notes = search.notes + integrality.reasons
-    return StabilityVerdict(UNDETERMINED, None, "direct-search", notes)
+        verdict = StabilityVerdict(UNSTABLE, witness, "direct-search", search.notes)
+    elif equal:
+        verdict = StabilityVerdict(SEMISTABLE, equal[0], "direct-search", search.notes)
+    elif search.complete and integrality.certified:
+        verdict = StabilityVerdict(STABLE, None, "prop-stability", search.notes)
+    else:
+        notes = search.notes + integrality.reasons
+        verdict = StabilityVerdict(UNDETERMINED, None, "direct-search", notes)
+    return verdict, search, integrality
 
 
 def double_cover_verdict(m_degrees: SplitBundle, sec: SectionData) -> StabilityVerdict:

@@ -217,8 +217,9 @@ def test_gate_05_quartic_support_two(capsys):
             d = rng.randint(1, 3)
             g = rand_binform(rng, d - 1, nonzero=True)
             sec = section(4, d, {2: g})
-            assert annihilating_poly(sec).degree == 2
-            report = intermediate_factorization(sec)
+            curve = spectral_curve(sec)
+            assert annihilating_poly(sec, curve.char).degree == 2
+            report = intermediate_factorization(sec, curve)
             assert report.subcover_index == 2
             assert report.quotient_degree == 2
             tau = report.tau
@@ -260,8 +261,9 @@ def test_gate_07_char_is_power_of_annihilating(capsys):
                 if not chosen or rng.random() < 0.3:
                     comps[0] = rand_binform(rng, d, nonzero=True)
                 sec = section(r, d, comps)
-                char = invariant_sections(sec).char_form()
-                ann = annihilating_poly(sec)
+                data = invariant_sections(sec)
+                char = data.char_form()
+                ann = annihilating_poly(sec, data)
                 g = math.gcd(r, *chosen) if chosen else r
                 power = ann
                 for _ in range(g - 1):
@@ -304,7 +306,7 @@ def test_gate_09_stability(capsys):
                     if rng.random() < 0.5:
                         comps[0] = rand_binform(rng, d)
                     sec = section(2, d, comps)
-                    direct = gieseker_verdict(bundle, sec)
+                    direct, _, _ = gieseker_verdict(bundle, sec)
                     shortcut = double_cover_verdict(bundle, sec)
                     assert direct.status == shortcut.status, (degrees, comps)
                     checked += 1

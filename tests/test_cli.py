@@ -1,7 +1,10 @@
 """Tests for the JSON codecs and the command-line driver."""
 
+import importlib
+import importlib.util
 import io
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -151,14 +154,15 @@ def test_roundtrip_sections_and_curves():
 
 def test_roundtrip_reports():
     sec4 = SectionData(make_standard_cyclic(4), 2, {2: bf(1, [1, 5])})
-    rep = intermediate_factorization(sec4)
+    rep = intermediate_factorization(sec4, spectral_curve(sec4))
     assert sz.factorization_from_json(sz.factorization_to_json(rep)) == rep
     conic = SectionData(make_standard_cyclic(2), 2, {1: bf(1, [1, 1])})
     for sec in (sec4, conic):
-        verd = birationality_verdict(sec)
+        curve = spectral_curve(sec)
+        verd = birationality_verdict(intermediate_factorization(sec, curve), curve)
         assert sz.birationality_from_json(sz.birationality_to_json(verd)) == verd
     for degrees in ([5], [2, 2], [0, 1]):
-        v = gieseker_verdict(SplitBundle(degrees), conic)
+        v, _, _ = gieseker_verdict(SplitBundle(degrees), conic)
         assert sz.verdict_from_json(sz.verdict_to_json(v)) == v
     h = hilbert_poly(SplitBundle([0, 2]), 3)
     assert sz.hilbert_from_json(sz.hilbert_to_json(h)) == h
@@ -318,6 +322,26 @@ def test_factor_needs_standard_cover(tmp_path, capsys):
     assert cli.main(["factor", "--input", path]) == 2
 
 
+def test_unrepresentable_singular_point_exits_two(tmp_path, capsys):
+    # a valid job whose singular eta values over one base point generate a
+    # field extension, which the report format cannot carry
+    job = {
+        "schema": "1",
+        "cover": {"r": 4},
+        "twist_degree": 1,
+        "section": {
+            "0": {"degree": 1, "coeffs": ["1", "1"]},
+            "1": {"degree": 0, "coeffs": ["-2"]},
+            "3": {"degree": 0, "coeffs": ["-1"]},
+        },
+    }
+    out = tmp_path / "report.json"
+    path = write_job(tmp_path, job)
+    assert cli.main(["singular", "--input", path, "--output", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
     def explode(job, chart):
         raise InternalCheckError("simulated cross-check failure")
@@ -400,6 +424,52 @@ def test_singular_reports_prediction_for_double_cover(tmp_path, capsys):
     assert points[0]["point"]["coords"] == [1, 1]
     assert points[0]["eta"] == "3"
     assert predicted[0]["certificate"] == "prop-gen-double"
+
+
+# ---------------------------------------------------------------------------
+# work per job
+
+
+def test_each_curve_job_computes_two_characteristic_polynomials(monkeypatch):
+    # one per chart: every command builds its spectral curve once and passes
+    # the characteristic data down instead of recomputing it
+    from speccover import exactalg, spectral
+
+    original = exactalg.char_poly_matrix
+    calls = []
+
+    def counted(a):
+        calls.append(a.n)
+        return original(a)
+
+    monkeypatch.setattr(exactalg, "char_poly_matrix", counted)
+    monkeypatch.setattr(spectral, "char_poly_matrix", counted)
+    base = {
+        "cover": {"r": 3},
+        "twist_degree": 2,
+        "section": {"1": {"degree": 1, "coeffs": [1, 1]}, "2": {"degree": 1, "coeffs": [-1, 1]}},
+    }
+    for command, extra in (
+        ("compute", {}),
+        ("discriminant", {}),
+        ("singular", {}),
+        ("factor", {}),
+        ("stability", {"m_degrees": [0, 1]}),
+    ):
+        calls.clear()
+        cli.run_job(dict(base, command=command, **extra))
+        assert calls == [3, 3], command
+
+
+def test_benchmark_traced_functions_exist():
+    # perfbench/layers.py wraps these by name; a rename would crash --trace 1
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert len(layers.TRACED) == 22
+    for name, (module, attr) in layers.TRACED.items():
+        assert callable(getattr(importlib.import_module(f"speccover.{module}"), attr, None)), name
 
 
 # ---------------------------------------------------------------------------

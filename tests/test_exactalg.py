@@ -28,7 +28,6 @@ from speccover.exactalg import (
     ProjPoint,
     UniPoly,
     char_poly_matrix,
-    det_bareiss,
     det_cofactor,
     eta_gcd,
     ext_reduce,
@@ -61,6 +60,30 @@ def det_by_permutations(mat):
             term = term * mat[i][perm[i]]
         total = total + (term if inversions % 2 == 0 else -term)
     return total
+
+
+def det_bareiss(mat):
+    """Independent oracle: fraction-free Bareiss elimination over Q[w][eta],
+    for sizes beyond the Leibniz expansion."""
+    n = len(mat)
+    m = [list(row) for row in mat]
+    sign = 1
+    prev = EtaPoly.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if pivot_row is None:
+                return EtaPoly.zero()
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = num.exact_div(prev)
+            m[i][k] = EtaPoly.zero()
+        prev = m[k][k]
+    out = m[n - 1][n - 1]
+    return -out if sign < 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +526,13 @@ def test_char_poly_triple_cover_shape():
 
 def test_char_poly_methods_agree():
     rng = rng_for("charpoly")
-    for size in (2, 3, 4, 7):
+    for size in (2, 3, 4, 7, 8):
         a = PolyMatrix([[rand_unipoly(rng, 1) for _ in range(size)] for _ in range(size)])
-        assert char_poly_matrix(a, method="cofactor") == char_poly_matrix(a, method="bareiss")
+        eta_minus_a = [
+            [EtaPoly((-a.entry(i, j), UniPoly.one() if i == j else UniPoly.zero())) for j in range(size)]
+            for i in range(size)
+        ]
+        assert char_poly_matrix(a) == det_bareiss(eta_minus_a)
 
 
 def test_char_poly_block_diagonal_multiplies():
@@ -538,14 +565,14 @@ def test_min_poly_of_repeated_double_cover_block():
         [g, z, z, z],
         [z, g, z, z],
     ])
-    out = min_poly_matrix(a)
+    out = min_poly_matrix(a, char_poly_matrix(a))
     assert out == EtaPoly((-(w * g * g), UniPoly.zero(), UniPoly.one()))
 
 
 def test_min_poly_scalar_matrix():
     h = up(1, 2)
     a = PolyMatrix([[h, UniPoly.zero()], [UniPoly.zero(), h]])
-    assert min_poly_matrix(a) == EtaPoly((-h, UniPoly.one()))
+    assert min_poly_matrix(a, char_poly_matrix(a)) == EtaPoly((-h, UniPoly.one()))
 
 
 def test_min_poly_squarefree_and_divides_char():
@@ -553,7 +580,7 @@ def test_min_poly_squarefree_and_divides_char():
     for _ in range(10):
         a = PolyMatrix([[rand_unipoly(rng, 1) for _ in range(3)] for _ in range(3)])
         char = char_poly_matrix(a)
-        minimal = min_poly_matrix(a)
+        minimal = min_poly_matrix(a, char)
         # divides
         char.exact_div(minimal)
         # squarefree: gcd with derivative is constant

@@ -16,11 +16,20 @@ from speccover.factorization import (
     eval_spectral_point,
     intermediate_factorization,
 )
-from speccover.spectral import annihilating_poly, invariant_sections
+from speccover.spectral import SpectralCurve, annihilating_poly, invariant_sections, spectral_curve
 
 
 def section(r, d, comps):
     return SectionData(make_standard_cyclic(r), d, comps)
+
+
+def factor(sec):
+    return intermediate_factorization(sec, spectral_curve(sec))
+
+
+def verdict(sec):
+    curve = spectral_curve(sec)
+    return birationality_verdict(intermediate_factorization(sec, curve), curve)
 
 
 def rand_section(rng, r, d):
@@ -38,7 +47,7 @@ def rand_section(rng, r, d):
 
 def test_degree_four_support_two():
     g = bf(1, [1, 2])
-    rep = intermediate_factorization(section(4, 2, {2: g}))
+    rep = factor(section(4, 2, {2: g}))
     assert rep.subcover_index == 2
     assert rep.quotient_degree == 2
     assert rep.verdict == PROPER
@@ -48,7 +57,7 @@ def test_degree_four_support_two():
 
 
 def test_degree_five_single_component_is_birational():
-    rep = intermediate_factorization(section(5, 1, {1: BinForm.const(1)}))
+    rep = factor(section(5, 1, {1: BinForm.const(1)}))
     assert rep.subcover_index == 1
     assert rep.quotient_degree == 5
     assert rep.verdict == BIRATIONAL
@@ -58,7 +67,7 @@ def test_degree_five_single_component_is_birational():
 def test_degree_six_support_two_four():
     h2 = bf(1, [1, 0])
     h4 = bf(1, [0, 1])
-    rep = intermediate_factorization(section(6, 2, {2: h2, 4: h4}))
+    rep = factor(section(6, 2, {2: h2, 4: h4}))
     assert rep.subcover_index == 2
     assert rep.quotient_degree == 3
     assert rep.tau.component(1) == h2
@@ -67,7 +76,7 @@ def test_degree_six_support_two_four():
 
 def test_pullback_section_detected():
     h0 = bf(2, [1, -1, 2])
-    rep = intermediate_factorization(section(3, 2, {0: h0}))
+    rep = factor(section(3, 2, {0: h0}))
     assert rep.subcover_index == 3
     assert rep.quotient_degree == 1
     assert rep.verdict == PULLBACK
@@ -76,7 +85,7 @@ def test_pullback_section_detected():
 
 
 def test_zero_section_counts_as_pullback():
-    rep = intermediate_factorization(section(4, 1, {}))
+    rep = factor(section(4, 1, {}))
     assert rep.subcover_index == 4
     assert rep.verdict == PULLBACK
     assert rep.tau.is_zero()
@@ -85,7 +94,7 @@ def test_zero_section_counts_as_pullback():
 def test_mixed_support_with_pullback_part():
     # h_0 never contributes to the support gcd
     s = section(4, 2, {0: bf(2, [1, 1, 1]), 2: bf(1, [3, -1])})
-    rep = intermediate_factorization(s)
+    rep = factor(s)
     assert rep.subcover_index == 2
     assert rep.tau.component(0) == bf(2, [1, 1, 1])
     assert rep.tau.component(1) == bf(1, [3, -1])
@@ -94,7 +103,7 @@ def test_mixed_support_with_pullback_part():
 def test_non_standard_cover_rejected():
     alg = make_double_cover(bf(2, [0, 1, 1]))
     with pytest.raises(UnsupportedCoverError):
-        intermediate_factorization(SectionData(alg, 2, {1: bf(1, [1, 1])}))
+        factor(SectionData(alg, 2, {1: bf(1, [1, 1])}))
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +116,22 @@ def test_subcover_index_invariants():
         r = rng.randint(1, 6)
         d = rng.randint(1, 3)
         sec = rand_section(rng, r, d)
-        rep = intermediate_factorization(sec)
+        data = invariant_sections(sec)
+        ann = annihilating_poly(sec, data)
+        rep = intermediate_factorization(sec, SpectralCurve(data, ann))
         assert r % rep.subcover_index == 0
         assert rep.quotient_degree * rep.subcover_index == r
         assert (rep.subcover_index == r) == is_pullback(sec)
-        assert (rep.subcover_index == 1) == (annihilating_poly(sec).degree == r)
+        assert (rep.subcover_index == 1) == (ann.degree == r)
 
 
 def test_subcover_index_at_rank_eight():
     sec = section(8, 1, {2: bf(0, [1]), 6: bf(0, [2])})
-    rep = intermediate_factorization(sec)
+    rep = factor(sec)
     assert rep.subcover_index == 2
     assert rep.quotient_degree == 4
     full = section(8, 1, {3: bf(0, [1])})
-    assert intermediate_factorization(full).subcover_index == 1
+    assert factor(full).subcover_index == 1
 
 
 def test_char_poly_is_power_of_reduced():
@@ -129,9 +140,10 @@ def test_char_poly_is_power_of_reduced():
     for _ in range(40):
         r = rng.choice([2, 4, 6])
         sec = rand_section(rng, r, 2)
-        rep = intermediate_factorization(sec)
-        char = invariant_sections(sec).char_form()
-        reduced = annihilating_poly(sec)
+        data = invariant_sections(sec)
+        char = data.char_form()
+        reduced = annihilating_poly(sec, data)
+        rep = intermediate_factorization(sec, SpectralCurve(data, reduced))
         assert (reduced**rep.subcover_index).coeffs == char.coeffs
         if 1 < rep.subcover_index < r:
             seen_proper += 1
@@ -144,9 +156,11 @@ def test_factored_section_recomputes_reduced_poly():
         r = rng.choice([2, 3, 4, 6])
         d = rng.randint(1, 3)
         sec = rand_section(rng, r, d)
-        rep = intermediate_factorization(sec)
+        data = invariant_sections(sec)
+        reduced = annihilating_poly(sec, data)
+        rep = intermediate_factorization(sec, SpectralCurve(data, reduced))
         again = invariant_sections(rep.tau).char_form()
-        assert again.coeffs == annihilating_poly(sec).coeffs
+        assert again.coeffs == reduced.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +224,19 @@ def test_invalid_point_rejected():
 
 
 def test_verdict_scalar_field():
-    v = birationality_verdict(section(2, 1, {0: bf(1, [1, 1])}))
+    v = verdict(section(2, 1, {0: bf(1, [1, 1])}))
     assert v.kind == PULLBACK
     assert "scalar" in v.justification
 
 
 def test_verdict_zero_section():
-    v = birationality_verdict(section(2, 1, {}))
+    v = verdict(section(2, 1, {}))
     assert v.kind == PULLBACK
     assert "zero" in v.justification
 
 
 def test_verdict_birational_with_witness():
-    v = birationality_verdict(section(2, 2, {1: bf(1, [0, 1])}))
+    v = verdict(section(2, 2, {1: bf(1, [0, 1])}))
     assert v.kind == BIRATIONAL
     assert v.sampling_complete
     assert v.witness_base is not None
@@ -231,7 +245,7 @@ def test_verdict_birational_with_witness():
 
 def test_verdict_proper_factorization_carries_tau():
     g = bf(1, [1, 5])
-    v = birationality_verdict(section(4, 2, {2: g}))
+    v = verdict(section(4, 2, {2: g}))
     assert v.kind == PROPER
     assert v.tau.component(1) == g
     assert "degree-2" in v.justification
@@ -241,7 +255,7 @@ def test_sampling_failure_sets_flag_not_verdict():
     # branch values collide at every sampled base point w = 0..4
     f = bf(5, [0, 24, -50, 35, -10, 1])  # w(w-1)(w-2)(w-3)(w-4) homogenized
     assert [f.dehomogenize(0).evaluate(k) for k in range(5)] == [0] * 5
-    v = birationality_verdict(section(2, 6, {1: f}))
+    v = verdict(section(2, 6, {1: f}))
     assert v.kind == BIRATIONAL
     assert not v.sampling_complete
     assert v.witness_base is None

@@ -136,21 +136,24 @@ def test_invariant_sections_rank_one():
 
 def test_annihilating_pullback():
     h0 = bf(2, [1, 2, 3])
-    out = annihilating_poly(section(2, 2, {0: h0}))
+    sec = section(2, 2, {0: h0})
+    out = annihilating_poly(sec, invariant_sections(sec))
     assert out.degree == 1
     assert out.coeffs == (-h0, BinForm.const(1))
 
 
 def test_annihilating_degree4_support2():
     g = bf(1, [1, 1])
-    out = annihilating_poly(section(4, 2, {2: g}))
+    sec = section(4, 2, {2: g})
+    out = annihilating_poly(sec, invariant_sections(sec))
     assert out.degree == 2
     assert out.coeffs == (-(S * T * g * g), BinForm.zero(2), BinForm.const(1))
 
 
 def test_annihilating_generic_triple_is_char():
     sec = section(3, 2, {1: bf(1, [2, 1]), 2: bf(1, [1, -1])})
-    assert annihilating_poly(sec).coeffs == invariant_sections(sec).char_form().coeffs
+    char = invariant_sections(sec)
+    assert annihilating_poly(sec, char).coeffs == char.char_form().coeffs
 
 
 def test_spectral_curve_bundles_consistently():

@@ -26,10 +26,24 @@ from speccover.stability import (
     _truncate,
 )
 from speccover.exactalg import EtaPoly
+from speccover.spectral import spectral_curve
 
 
 def section(r, d, comps):
     return SectionData(make_standard_cyclic(r), d, comps)
+
+
+def roots_of(sec):
+    return polynomial_eta_roots(sec, spectral_curve(sec).annihilating)
+
+
+def subsheaves(m_degrees, sec):
+    return invariant_subsheaf_search(m_degrees, sec, roots_of(sec))
+
+
+def integrality_of(sec):
+    curve = spectral_curve(sec)
+    return certify_integrality(sec, curve, polynomial_eta_roots(sec, curve.annihilating))
 
 
 def conic(f):
@@ -151,7 +165,7 @@ def test_graded_degrees_concatenates():
 
 
 def test_conic_has_no_polynomial_roots():
-    search = polynomial_eta_roots(conic(bf(1, [1, 1])))
+    search = roots_of(conic(bf(1, [1, 1])))
     assert search.roots == ()
     assert search.complete
     assert search.base is not None
@@ -159,23 +173,23 @@ def test_conic_has_no_polynomial_roots():
 
 def test_pullback_root_is_the_scalar():
     sec = section(2, 1, {0: bf(1, [2, 3])})
-    search = polynomial_eta_roots(sec)
+    search = roots_of(sec)
     assert search.complete
     assert search.roots == (up(2, 3),)
 
 
 def test_zero_section_root():
-    search = polynomial_eta_roots(section(3, 2, {}))
+    search = roots_of(section(3, 2, {}))
     assert search.roots == (UniPoly.zero(),)
 
 
 def test_identity_cover_root():
     sec = section(1, 2, {0: bf(2, [1, 0, -1])})
-    assert polynomial_eta_roots(sec).roots == (up(1, 0, -1),)
+    assert roots_of(sec).roots == (up(1, 0, -1),)
 
 
 def test_quartic_support_two_has_no_roots():
-    search = polynomial_eta_roots(section(4, 2, {2: bf(1, [1, 2])}))
+    search = roots_of(section(4, 2, {2: bf(1, [1, 2])}))
     assert search.roots == ()
     assert search.complete
 
@@ -187,7 +201,7 @@ def test_all_bases_ramified_flags_incomplete():
     for v in vals:
         f = f * up(-v, 1)
     sec = conic(BinForm(20, list(f.coeffs)))
-    search = polynomial_eta_roots(sec)
+    search = roots_of(sec)
     assert not search.complete
     assert search.roots == ()
 
@@ -239,13 +253,13 @@ def test_kernel_two_dimensional():
 
 def test_search_rank_one_conic_is_empty():
     for m in (-2, 0, 3):
-        res = invariant_subsheaf_search(SplitBundle([m]), conic(bf(1, [1, 1])))
+        res = subsheaves(SplitBundle([m]), conic(bf(1, [1, 1])))
         assert res.records == ()
         assert res.complete
 
 
 def test_search_blocks_for_two_summands():
-    res = invariant_subsheaf_search(SplitBundle([0, 1]), conic(bf(1, [1, 1])))
+    res = subsheaves(SplitBundle([0, 1]), conic(bf(1, [1, 1])))
     kinds = [(rec.kind, rec.indices) for rec in res.records]
     assert kinds == [("block", (0,)), ("block", (1,))]
     assert res.records[0].degrees == (0, -1)
@@ -256,7 +270,7 @@ def test_search_blocks_for_two_summands():
 
 def test_search_pullback_blocks_and_eigen():
     sec = section(2, 1, {0: bf(1, [2, 3])})
-    res = invariant_subsheaf_search(SplitBundle([0, 1]), sec)
+    res = subsheaves(SplitBundle([0, 1]), sec)
     kinds = [rec.kind for rec in res.records]
     assert kinds == ["block", "block", "eigen"]
     eigen = res.records[-1]
@@ -271,7 +285,7 @@ def test_search_record_ranks_are_proper():
     for _ in range(10):
         degs = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
         sec = section(2, 2, {1: rand_binform(rng, 1, nonzero=True)})
-        res = invariant_subsheaf_search(SplitBundle(degs), sec)
+        res = subsheaves(SplitBundle(degs), sec)
         total = 2 * len(degs)
         for rec in res.records:
             assert 0 < rec.rank < total
@@ -283,21 +297,21 @@ def test_search_record_ranks_are_proper():
 
 def test_gieseker_conic_rank_one_stable():
     for m in (-2, 0, 1, 3):
-        v = gieseker_verdict(SplitBundle([m]), conic(bf(1, [1, 1])), 1)
+        v, _, _ = gieseker_verdict(SplitBundle([m]), conic(bf(1, [1, 1])), 1)
         assert v.status == "stable"
         assert v.method == "prop-stability"
         assert v.witness is None
 
 
 def test_gieseker_equal_summands_semistable():
-    v = gieseker_verdict(SplitBundle([2, 2]), conic(bf(1, [0, 1])), 1)
+    v, _, _ = gieseker_verdict(SplitBundle([2, 2]), conic(bf(1, [0, 1])), 1)
     assert v.status == "strictly-semistable"
     assert v.witness is not None
     assert v.witness.hilbert == HilbertPoly(F(1), F(3, 2))
 
 
 def test_gieseker_unequal_summands_unstable():
-    v = gieseker_verdict(SplitBundle([0, 1]), conic(bf(1, [1, 1])), 1)
+    v, _, _ = gieseker_verdict(SplitBundle([0, 1]), conic(bf(1, [1, 1])), 1)
     assert v.status == "unstable"
     assert v.witness.kind == "block"
     assert v.witness.indices == (1,)
@@ -305,7 +319,7 @@ def test_gieseker_unequal_summands_unstable():
 
 
 def test_gieseker_quartic_counterexample_is_undetermined():
-    v = gieseker_verdict(SplitBundle([0]), section(4, 2, {2: bf(1, [1, 2])}), 1)
+    v, _, _ = gieseker_verdict(SplitBundle([0]), section(4, 2, {2: bf(1, [1, 2])}), 1)
     assert v.status == "undetermined"
     assert any("power" in note for note in v.notes)
 
@@ -316,7 +330,7 @@ def test_gieseker_incomplete_search_is_undetermined():
     for v0 in vals:
         f = f * up(-v0, 1)
     sec = conic(BinForm(20, list(f.coeffs)))
-    v = gieseker_verdict(SplitBundle([0]), sec, 1)
+    v, _, _ = gieseker_verdict(SplitBundle([0]), sec, 1)
     assert v.status == "undetermined"
     assert any("incomplete" in note for note in v.notes)
 
@@ -327,7 +341,7 @@ def test_unstable_witness_dominates_total():
         degs = [rng.randint(-3, 3) for _ in range(rng.randint(2, 3))]
         sec = conic(rand_binform(rng, 2, nonzero=True))
         total = hilbert_poly(SplitBundle(graded_degrees(SplitBundle(degs), 2)), 1)
-        v = gieseker_verdict(SplitBundle(degs), sec, 1)
+        v, _, _ = gieseker_verdict(SplitBundle(degs), sec, 1)
         if v.status == "unstable":
             assert precedes(total, v.witness.hilbert, strict=True)
         if v.status == "strictly-semistable":
@@ -362,7 +376,7 @@ def test_proposition_cross_check_sample():
         if rng.random() < 0.4:
             sec = section(2, d, {0: rand_binform(rng, d), 1: f})
         lhs = double_cover_verdict(SplitBundle(degs), sec)
-        rhs = gieseker_verdict(SplitBundle(degs), sec, 1)
+        rhs, _, _ = gieseker_verdict(SplitBundle(degs), sec, 1)
         assert lhs.status == rhs.status, (degs, lhs.status, rhs.status)
 
 
@@ -374,15 +388,15 @@ def test_scalar_invariance_of_verdicts():
         plain = section(2, d, {1: f})
         shifted = section(2, d, {0: rand_binform(rng, d, nonzero=True), 1: f})
         for degs in ([2], [1, 1], [0, 1], [-1, 2, 0]):
-            a = gieseker_verdict(SplitBundle(degs), plain, 1)
-            b = gieseker_verdict(SplitBundle(degs), shifted, 1)
+            a, _, _ = gieseker_verdict(SplitBundle(degs), plain, 1)
+            b, _, _ = gieseker_verdict(SplitBundle(degs), shifted, 1)
             assert a.status == b.status
 
 
 def test_certify_integrality():
-    assert certify_integrality(conic(bf(1, [1, 1]))).certified
-    assert certify_integrality(section(1, 2, {0: bf(2, [1, 1, 1])})).certified
-    rep = certify_integrality(section(2, 1, {0: bf(1, [1, 2])}))
+    assert integrality_of(conic(bf(1, [1, 1]))).certified
+    assert integrality_of(section(1, 2, {0: bf(2, [1, 1, 1])})).certified
+    rep = integrality_of(section(2, 1, {0: bf(1, [1, 2])}))
     assert not rep.certified
-    rep = certify_integrality(section(4, 2, {2: bf(1, [1, 2])}))
+    rep = integrality_of(section(4, 2, {2: bf(1, [1, 2])}))
     assert not rep.certified and "power" in rep.reasons[0]
