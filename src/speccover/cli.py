@@ -87,20 +87,6 @@ _INPUT_ERRORS = (
     UnsupportedCoverError,
 )
 
-_FORM_SCHEMA = {
-    "type": "object",
-    "required": ["degree", "coeffs"],
-    "properties": {
-        "degree": {"type": "integer", "minimum": 0},
-        "coeffs": {
-            "type": "array",
-            "items": {"type": ["string", "integer"]},
-        },
-        "printed": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
 JOB_SCHEMA = {
     "type": "object",
     "required": ["command"],
@@ -177,29 +163,43 @@ def _char_from_label(label: str, where: str):
     return values[0] if len(values) == 1 else tuple(values)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _section_rows(raw) -> list:
+    """(char field, label, form field, form) for both section layouts: an
+    object keyed by character label, or an array of {char, form} objects."""
+    if isinstance(raw, dict):
+        return [
+            (f"section.{key}", _char_from_label(key, f"section.{key}"), f"section.{key}", raw[key])
+            for key in sorted(raw)
+        ]
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, dict) or "char" not in row or "form" not in row:
+            raise JobError(f"section[{i}]: expected an object with char and form")
+        char = row["char"]
+        if not (_is_int(char) or isinstance(char, list) and all(map(_is_int, char))):
+            raise JobError(
+                f"section[{i}].char: expected an integer or an array of integers, got {char!r}"
+            )
+        rows.append((f"section[{i}].char", char, f"section[{i}].form", row["form"]))
+    return rows
+
+
 def _section_from_job(job) -> SectionData:
     cover = _cover_from_job(job)
     d = job["twist_degree"]
-    raw = job["section"]
     comps = {}
-    if isinstance(raw, dict):
-        for key in sorted(raw):
-            rho = _char_from_label(key, f"section.{key}")
-            try:
-                rho = cover.group.as_char(rho)
-            except SpecCoverError as exc:
-                raise JobError(f"section.{key}: {exc}") from exc
-            comps[rho] = sz.form_from_json(raw[key], f"section.{key}")
-    else:
-        for i, row in enumerate(raw):
-            row = row if isinstance(row, dict) else None
-            if row is None or "char" not in row or "form" not in row:
-                raise JobError(f"section[{i}]: expected an object with char and form")
-            rho = tuple(row["char"]) if isinstance(row["char"], list) else row["char"]
-            key = cover.group.as_char(rho)
-            if key in comps:
-                raise JobError(f"section[{i}].char: duplicate character {row['char']}")
-            comps[key] = sz.form_from_json(row["form"], f"section[{i}].form")
+    for where, label, form_where, form in _section_rows(job["section"]):
+        try:
+            rho = cover.group.as_char(label)
+        except SpecCoverError as exc:
+            raise JobError(f"{where}: {exc}") from exc
+        if rho in comps:
+            raise JobError(f"{where}: duplicate character {list(rho)}")
+        comps[rho] = sz.form_from_json(form, form_where)
     try:
         return SectionData(cover, d, comps)
     except SpecCoverError as exc:

@@ -227,10 +227,6 @@ class SplitBundle:
     def rank(self) -> int:
         return len(self.degrees)
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.degrees)
-
 
 # ---------------------------------------------------------------------------
 # constructors for the covers that actually occur

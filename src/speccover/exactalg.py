@@ -320,38 +320,6 @@ def poly_xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     return r0.monic(), u0 * scale, v0 * scale
 
 
-def squarefree_decompose(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
-    """Yun's algorithm over Q.
-
-    Returns (unit, [(monic squarefree factor, multiplicity), ...]) with the
-    factors pairwise coprime and unit * prod factor^mult == f exactly.
-    """
-    if f.is_zero():
-        raise DegreeError("squarefree decomposition of the zero polynomial")
-    unit = f.lead
-    g = f.monic()
-    out: list[tuple[UniPoly, int]] = []
-    if g.degree() > 0:
-        gp = g.derivative()
-        a0 = poly_gcd(g, gp)
-        b = g.exact_div(a0)
-        d = gp.exact_div(a0) - b.derivative()
-        i = 1
-        while b.degree() > 0:
-            a = poly_gcd(b, d)
-            if a.degree() > 0:
-                out.append((a, i))
-            b = b.exact_div(a)
-            d = d.exact_div(a) - b.derivative()
-            i += 1
-    check = UniPoly.const(unit)
-    for p, m in out:
-        check = check * p**m
-    if check != f:
-        raise InternalCheckError("squarefree decomposition failed to reconstruct input")
-    return unit, out
-
-
 _SYMPY_W = sympy.Symbol("w")
 
 
@@ -529,9 +497,6 @@ class BinForm:
                 total += c * s0**i * t0 ** (self.degree - i)
         return total
 
-    def evaluate_point(self, p: ProjPoint) -> Fraction:
-        return self.evaluate(p.a, p.b)
-
     def dehomogenize(self, chart: int) -> UniPoly:
         """Chart 0: F(w, 1) in w = s/t.  Chart 1: F(1, v) in v = t/s."""
         if chart == 0:
@@ -539,19 +504,6 @@ class BinForm:
         if chart == 1:
             return UniPoly(tuple(reversed(self.coeffs)))
         raise ValueError("chart must be 0 or 1")
-
-    def derivative_s(self) -> BinForm:
-        if self.degree == 0:
-            return BinForm.zero(0)
-        return BinForm(self.degree - 1, tuple((i + 1) * self.coeffs[i + 1] for i in range(self.degree)))
-
-    def derivative_t(self) -> BinForm:
-        if self.degree == 0:
-            return BinForm.zero(0)
-        return BinForm(
-            self.degree - 1,
-            tuple((self.degree - i) * self.coeffs[i] for i in range(self.degree)),
-        )
 
     def str_in(self, u: str, v: str) -> str:
         if self.is_zero():
@@ -617,27 +569,6 @@ def vanishing_order(form: BinForm, point: ProjPoint) -> int:
     order = 0
     while poly.evaluate(w0) == 0:
         poly = poly.exact_div(UniPoly((-w0, 1)))
-        order += 1
-    return order
-
-
-def order_at_modulus(form: BinForm, modulus: UniPoly, chart: int = 0) -> int:
-    """Multiplicity of an irreducible chart polynomial inside a form.
-
-    The locus is the zero set of `modulus` in the given affine chart; for
-    chart 0 the point [1:0] is invisible (use vanishing_order for it).
-    """
-    if form.is_zero():
-        raise InfiniteOrderError("zero form vanishes to infinite order everywhere")
-    if modulus.degree() < 1:
-        raise DegreeError("modulus must have degree >= 1")
-    poly = form.dehomogenize(chart)
-    order = 0
-    while not poly.is_zero():
-        q, r = poly.divmod(modulus)
-        if not r.is_zero():
-            break
-        poly = q
         order += 1
     return order
 
@@ -871,17 +802,47 @@ def _pl_pseudo_rem(f: list, g: list) -> list:
     return rem
 
 
-def resultant_coeffs(fc: Sequence, gc: Sequence):
-    """Resultant of two polynomials given as ascending coefficient lists over
-    UniPoly or EtaPoly entries.  Equals the Sylvester determinant of (f, g)
-    with the convention Res(f, g) = lc(f)^deg(g) * prod g(alpha_i).
+def _subresultant_prs(f: list, g: list):
+    """Collins/Brown subresultant pseudo-remainder sequence (Cohen, A Course
+    in Computational Algebraic Number Theory, GTM 138, Alg. 3.3.7) of trimmed
+    coefficient lists with deg f >= deg g >= 0.
 
-    Runs the Collins/Brown subresultant pseudo-remainder sequence (Cohen,
-    A Course in Computational Algebraic Number Theory, GTM 138, Alg. 3.3.7).
     Each pseudo-remainder is divided by scale_g * scale_h^delta, where scale_g
     is the previous divisor's leading coefficient and scale_h is updated as
     scale_g^delta / scale_h^(delta-1).  Every one of these divisions is exact
     in the coefficient ring, so coefficients grow only polynomially.
+
+    Runs until the last element is a constant or zero and returns
+    (prev, last, scale_h, odd): the last two elements of the sequence, with
+    last == [] when a pseudo-remainder vanished, and whether an odd number of
+    steps had both degrees odd.
+    """
+    one = type(f[0]).one()
+    scale_g, scale_h = one, one
+    odd = False
+    while len(g) > 1:
+        df, dg = len(f) - 1, len(g) - 1
+        delta = df - dg
+        if df % 2 and dg % 2:
+            odd = not odd
+        rem = _pl_pseudo_rem(f, g)
+        if not rem:
+            return g, rem, scale_h, odd
+        div = scale_g * scale_h**delta
+        f, g = g, [c.exact_div(div) for c in rem]
+        scale_g = f[-1]
+        if delta == 1:
+            scale_h = scale_g
+        elif delta > 1:
+            scale_h = (scale_g**delta).exact_div(scale_h ** (delta - 1))
+    return f, g, scale_h, odd
+
+
+def resultant_coeffs(fc: Sequence, gc: Sequence):
+    """Resultant of two polynomials given as ascending coefficient lists over
+    UniPoly or EtaPoly entries.  Equals the Sylvester determinant of (f, g)
+    with the convention Res(f, g) = lc(f)^deg(g) * prod g(alpha_i).
+    Computed from the subresultant pseudo-remainder sequence.
     """
     f = _pl_trim(list(fc))
     g = _pl_trim(list(gc))
@@ -896,34 +857,17 @@ def resultant_coeffs(fc: Sequence, gc: Sequence):
         negate = (len(f) - 1) * (len(g) - 1) % 2 == 1
     if len(g) == 1:
         return g[0] ** (len(f) - 1)
-    scale_g, scale_h = ring.one(), ring.one()
-    while len(g) > 1:
-        df, dg = len(f) - 1, len(g) - 1
-        delta = df - dg
-        if df % 2 and dg % 2:
-            negate = not negate
-        rem = _pl_pseudo_rem(f, g)
-        if not rem:
-            return ring.zero()
-        div = scale_g * scale_h**delta
-        f, g = g, [c.exact_div(div) for c in rem]
-        scale_g = f[-1]
-        if delta == 1:
-            scale_h = scale_g
-        elif delta > 1:
-            scale_h = (scale_g**delta).exact_div(scale_h ** (delta - 1))
+    f, g, scale_h, odd = _subresultant_prs(f, g)
+    if not g:
+        return ring.zero()
     df = len(f) - 1
     out = (g[0] ** df).exact_div(scale_h ** (df - 1))
-    return -out if negate else out
+    return -out if negate != odd else out
 
 
 def resultant(f: EtaPoly, g: EtaPoly) -> UniPoly:
     """Resultant in eta of two elements of Q[w][eta]; an element of Q[w]."""
-    if f.is_zero() and g.is_zero():
-        raise UndefinedResultantError("resultant of two zero polynomials")
-    if f.is_zero() or g.is_zero():
-        return UniPoly.zero()
-    return resultant_coeffs(list(f.coeffs), list(g.coeffs))
+    return resultant_coeffs(f.coeffs, g.coeffs)
 
 
 def sylvester_matrix(fc: Sequence, gc: Sequence) -> list[list]:
@@ -1086,11 +1030,6 @@ def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
     return out
 
 
-def _eta_pseudo_rem(f: EtaPoly, g: EtaPoly) -> EtaPoly:
-    rem = _pl_pseudo_rem(list(f.coeffs), list(g.coeffs))
-    return EtaPoly(rem)
-
-
 def eta_gcd(f: EtaPoly, g: EtaPoly) -> EtaPoly:
     """Gcd in Q[w][eta] via the subresultant pseudo-remainder sequence.
 
@@ -1106,25 +1045,11 @@ def eta_gcd(f: EtaPoly, g: EtaPoly) -> EtaPoly:
         return a if a.is_zero() else a.scale(1 / a.lead.lead)
     if a.degree() < b.degree():
         a, b = b, a
-    scale_g, scale_h = UniPoly.one(), UniPoly.one()
-    while True:
-        if b.degree() == 0:
-            # coprime in Q(w)[eta]
-            a = EtaPoly.one()
-            break
-        delta = a.degree() - b.degree()
-        rem = _eta_pseudo_rem(a, b)
-        a, prev = b, b
-        if rem.is_zero():
-            break
-        div = scale_g * scale_h**delta
-        b = EtaPoly(tuple(c.exact_div(div) for c in rem.coeffs))
-        scale_g = prev.lead
-        if delta == 1:
-            scale_h = scale_g
-        elif delta > 1:
-            scale_h = (scale_g**delta).exact_div(scale_h ** (delta - 1))
-    a = a.primitive()
+    prev, last, _, _ = _subresultant_prs(list(a.coeffs), list(b.coeffs))
+    if last:
+        # the sequence ended in a nonzero constant: coprime in Q(w)[eta]
+        return EtaPoly.one()
+    a = EtaPoly(prev).primitive()
     return a.scale(1 / a.lead.lead)
 
 
@@ -1230,21 +1155,6 @@ class ExtElem:
         return f"({self.value.str_in('w')} mod {self.modulus.str_in('w')})"
 
 
-def ext_reduce(x: ExtElem, y: ExtElem | None, op: str) -> ExtElem:
-    """Quotient-ring arithmetic entry point: op in {'add', 'mul', 'inv'}."""
-    if op == "add":
-        if y is None:
-            raise ValueError("add needs two operands")
-        return x + y
-    if op == "mul":
-        if y is None:
-            raise ValueError("mul needs two operands")
-        return x * y
-    if op == "inv":
-        return x.inv()
-    raise ValueError(f"unknown quotient-ring operation {op!r}")
-
-
 def reduce_mod(p: UniPoly, modulus: UniPoly) -> ExtElem:
     return ExtElem.make(p, modulus)
 
@@ -1262,23 +1172,30 @@ def kpoly_from_etapoly(f: EtaPoly, modulus: UniPoly) -> list[ExtElem]:
     return kpoly_trim([reduce_mod(c, modulus) for c in f.coeffs])
 
 
+def kpoly_divmod(a: list[ExtElem], b: list[ExtElem]) -> tuple[list[ExtElem], list[ExtElem]]:
+    """Long division in K[eta]; the divisor must have invertible lead."""
+    a = list(a)
+    inv_lead = b[-1].inv()
+    zero = ExtElem(b[-1].modulus, UniPoly.zero())
+    quot = [zero] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        if a[-1].value.is_zero():
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        factor = a[-1] * inv_lead
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] = a[shift + i] - factor * c
+        a.pop()
+    return kpoly_trim(quot), kpoly_trim(a)
+
+
 def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
     """Monic gcd of eta-polynomials over the residue field."""
     a, b = kpoly_trim(list(a)), kpoly_trim(list(b))
     while b:
-        # a mod b
-        rem = list(a)
-        lb = b[-1].inv()
-        while len(rem) >= len(b):
-            c = rem[-1] * lb
-            shift = len(rem) - len(b)
-            for j in range(len(b)):
-                rem[shift + j] = rem[shift + j] - c * b[j]
-            rem.pop()
-            rem = kpoly_trim(rem)
-            if not rem:
-                break
-        a, b = b, rem
+        a, b = b, kpoly_divmod(a, b)[1]
     if a:
         la = a[-1].inv()
         a = [c * la for c in a]

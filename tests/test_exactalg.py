@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
 
 from conftest import F, bf, ep, rand_binform, rand_unipoly, rng_for, up
 from speccover import exactalg
@@ -30,18 +31,15 @@ from speccover.exactalg import (
     char_poly_matrix,
     det_cofactor,
     eta_gcd,
-    ext_reduce,
     factor_rational,
     homogenize,
     min_poly_matrix,
-    order_at_modulus,
     poly_gcd,
     poly_xgcd,
     rational_roots,
     reduce_mod,
     resultant,
     resultant_coeffs,
-    squarefree_decompose,
     sylvester_matrix,
     vanishing_order,
 )
@@ -140,33 +138,7 @@ def test_poly_gcd_and_xgcd():
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition and factorization
-
-
-def test_squarefree_known_example():
-    # dehomogenized triple-cover discriminant shape with f = g = 1:
-    # 27*w^2*(1-w)^2 groups everything at multiplicity 2, giving w(w-1)
-    f = UniPoly.const(27) * up(0, 1) ** 2 * up(1, -1) ** 2
-    unit, factors = squarefree_decompose(f)
-    assert factors == [(up(0, -1, 1), 2)]
-    assert unit == 27
-
-
-def test_squarefree_reconstruction_random():
-    rng = rng_for("yun")
-    for _ in range(60):
-        f = UniPoly.one()
-        for _ in range(rng.randint(1, 3)):
-            f = f * rand_unipoly(rng, 2, nonzero=True) ** rng.randint(1, 3)
-        unit, factors = squarefree_decompose(f)
-        rebuilt = UniPoly.const(unit)
-        for p, m in factors:
-            assert p.lead == 1
-            rebuilt = rebuilt * p**m
-        assert rebuilt == f
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                assert poly_gcd(factors[i][0], factors[j][0]) == UniPoly.one()
+# factorization
 
 
 def test_factor_rational_known():
@@ -211,7 +183,6 @@ def test_binform_arithmetic_and_eval():
     assert st == bf(2, [0, 1, 0])
     f = bf(2, [3, -2, 1])  # 3t^2 - 2st + s^2
     assert f.evaluate(1, 1) == 2
-    assert f.evaluate_point(ProjPoint.of(2, 1)) == 3 - 4 + 4
     assert (s**2).coeffs == (0, 0, 1)
     assert (2 * f).evaluate(1, 0) == 2
 
@@ -227,12 +198,6 @@ def test_binform_dehomogenize_both_charts():
 def test_homogenize_overflow():
     with pytest.raises(DegreeError):
         homogenize(up(1, 1, 1), 1, 0)
-
-
-def test_binform_derivatives():
-    f = bf(2, [1, 1, 1])  # t^2 + st + s^2
-    assert f.derivative_s() == bf(1, [1, 2])
-    assert f.derivative_t() == bf(1, [2, 1])
 
 
 def test_projpoint_normalization():
@@ -265,13 +230,6 @@ def test_vanishing_order_additive_random():
         g = rand_binform(rng, rng.randint(1, 4), nonzero=True)
         for p in pts:
             assert vanishing_order(f * g, p) == vanishing_order(f, p) + vanishing_order(g, p)
-
-
-def test_order_at_modulus():
-    p = up(1, 0, 1)  # w^2 + 1, irreducible
-    f = homogenize(p, 2, 0) ** 2 * bf(1, [1, 1])
-    assert order_at_modulus(f, p, 0) == 2
-    assert order_at_modulus(bf(1, [1, 1]), p, 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -601,17 +559,6 @@ def test_ext_examples():
     assert (w2 * w2 * w2).value == UniPoly.const(8)
 
 
-def test_ext_reduce_surface():
-    m = up(1, 0, 1)
-    x = reduce_mod(up(0, 1), m)
-    y = reduce_mod(up(1, 1), m)
-    assert ext_reduce(x, y, "add").value == up(1, 2)
-    assert ext_reduce(x, y, "mul").value == up(-1, 1)
-    assert ext_reduce(x, None, "inv") == x.inv()
-    with pytest.raises(ValueError):
-        ext_reduce(x, y, "pow")
-
-
 def test_ext_modulus_mismatch():
     x = reduce_mod(up(0, 1), up(1, 0, 1))
     y = reduce_mod(up(0, 1), up(2, 0, 1))
@@ -648,6 +595,90 @@ def test_kpoly_gcd():
     g = exactalg.kpoly_gcd(b, a)
     assert len(g) == 2 and g[1].value == UniPoly.one()
     assert g[0].value == -UniPoly.x()
+
+
+def test_kpoly_divmod():
+    mod = up(1, 0, 1)  # K = Q[w]/(w^2 + 1)
+    rng = rng_for("kpoly-divmod")
+
+    def kpoly(n):
+        return exactalg.kpoly_trim([reduce_mod(rand_unipoly(rng, 1), mod) for _ in range(n)])
+
+    def mul(a, b):
+        out = [reduce_mod(UniPoly.zero(), mod)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return exactalg.kpoly_trim(out)
+
+    def add(a, b):
+        n = max(len(a), len(b))
+        zero = reduce_mod(UniPoly.zero(), mod)
+        a, b = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
+        return exactalg.kpoly_trim([x + y for x, y in zip(a, b)])
+
+    zero_remainders = 0
+    for k in range(40):
+        b = kpoly(rng.randint(1, 3))
+        if not b:
+            continue
+        # every fourth dividend is a multiple of b
+        a = mul(b, kpoly(rng.randint(1, 3))) if k % 4 == 0 else kpoly(rng.randint(0, 6))
+        q, r = exactalg.kpoly_divmod(a, b)
+        assert add(mul(q, b), r) == a
+        assert len(r) < len(b)
+        zero_remainders += not r
+    assert zero_remainders >= 5
+
+
+_W, _ETA = sympy.symbols("w eta")
+
+
+def _eta_to_sympy(f: EtaPoly):
+    return sum(
+        sympy.Rational(c.numerator, c.denominator) * _W**i * _ETA**j
+        for j, p in enumerate(f.coeffs)
+        for i, c in enumerate(p.coeffs)
+    )
+
+
+def _eta_from_sympy(expr) -> EtaPoly:
+    poly = sympy.Poly(expr, _ETA, _W)
+    rows = [[Fraction(0)] * (poly.degree(_W) + 1) for _ in range(poly.degree(_ETA) + 1)]
+    for (j, i), c in poly.terms():
+        rows[j][i] = Fraction(int(c.p), int(c.q))
+    return EtaPoly([UniPoly(row) for row in rows])
+
+
+def _sympy_eta_gcd(f: EtaPoly, g: EtaPoly) -> EtaPoly:
+    """gcd in QQ[w, eta] by sympy, made primitive over Q[w] with leading
+    coefficient monic in w: the normalization eta_gcd promises."""
+    h = sympy.Poly(sympy.gcd(_eta_to_sympy(f), _eta_to_sympy(g)), _ETA, _W)
+    content = sympy.Poly(sympy.gcd_list([c.as_expr() for c in h.as_poly(_ETA).all_coeffs()]), _ETA, _W)
+    prim, rem = sympy.div(h, content)
+    assert rem.is_zero
+    lead = sympy.Poly(prim.as_poly(_ETA).LC(), _W).LC()
+    return _eta_from_sympy((prim.as_expr() / lead).expand())
+
+
+def test_eta_gcd_matches_sympy():
+    rng = rng_for("eta-gcd-sympy")
+
+    def rand_eta(deg):
+        coeffs = [rand_unipoly(rng, 2) for _ in range(deg)] + [rand_unipoly(rng, 2, nonzero=True)]
+        return EtaPoly(coeffs)
+
+    for k in range(24):
+        f, g = rand_eta(rng.randint(1, 3)), rand_eta(rng.randint(1, 3))
+        if k % 2 == 0:
+            # planted common factor, times a content in Q[w] on one side
+            common = rand_eta(rng.randint(1, 2))
+            f = f * common * EtaPoly.const(rand_unipoly(rng, 1, nonzero=True))
+            g = g * common
+        got = eta_gcd(f, g)
+        assert got == _sympy_eta_gcd(f, g)
+        if k % 2 == 0:
+            assert got.degree() >= 1
 
 
 def test_eta_gcd_known():

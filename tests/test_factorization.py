@@ -53,7 +53,6 @@ def test_degree_four_support_two():
     assert rep.verdict == PROPER
     assert rep.tau.cover.degree == 2
     assert rep.tau.component(1) == g
-    assert not rep.is_birational()
 
 
 def test_degree_five_single_component_is_birational():
