@@ -22,8 +22,6 @@ import sys
 import tempfile
 import time
 
-import jsonschema
-
 from . import __version__
 from . import serialize as sz
 from .covers import (
@@ -87,36 +85,17 @@ _INPUT_ERRORS = (
     UnsupportedCoverError,
 )
 
-JOB_SCHEMA = {
-    "type": "object",
-    "required": ["command"],
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "command": {
-            "enum": [
-                "compute",
-                "discriminant",
-                "singular",
-                "factor",
-                "genus",
-                "pushforward",
-                "stability",
-            ]
-        },
-        "label": {"type": "string"},
-        "cover": {"type": "object"},
-        "twist_degree": {"type": "integer", "minimum": 0},
-        "section": {"type": ["object", "array"]},
-        "m_degrees": {
-            "type": "array",
-            "items": {"type": "integer"},
-            "minItems": 1,
-        },
-        "ample_degree": {"type": "integer", "minimum": 1},
-        "line_degree": {"type": "integer"},
-    },
-    "additionalProperties": False,
-}
+_JOB_FIELDS = (
+    "schema",
+    "command",
+    "label",
+    "cover",
+    "twist_degree",
+    "section",
+    "m_degrees",
+    "ample_degree",
+    "line_degree",
+)
 
 _REQUIRED_FIELDS = {
     "compute": ("cover", "twist_degree", "section"),
@@ -133,13 +112,37 @@ _REQUIRED_FIELDS = {
 # job parsing
 
 
+def _need_at_least(v, minimum: int, where: str) -> None:
+    if sz._need_int(v, where) < minimum:
+        raise JobError(f"{where}: {v} is less than the minimum of {minimum}")
+
+
 def validate_job(job) -> None:
-    """Schema check plus per-command required fields; JobError names the field."""
-    try:
-        jsonschema.validate(job, JOB_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise JobError(f"{exc.json_path}: {exc.message}") from exc
-    command = job["command"]
+    """Top-level field checks plus per-command required fields; JobError
+    names the field.  Nested data is checked where it is parsed."""
+    sz._need_dict(job, "$")
+    for field in job:
+        if field not in _JOB_FIELDS:
+            raise JobError(f"$.{field}: not a job field")
+    if job.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise JobError(f'$.schema: expected "{SCHEMA_VERSION}", got {job["schema"]!r}')
+    command = job.get("command")
+    if not isinstance(command, str) or command not in _REQUIRED_FIELDS:
+        raise JobError(f"$.command: expected one of {', '.join(_REQUIRED_FIELDS)}, got {command!r}")
+    if not isinstance(job.get("label", ""), str):
+        raise JobError(f"$.label: expected a string, got {job['label']!r}")
+    if "cover" in job:
+        sz._need_dict(job["cover"], "$.cover")
+    if "twist_degree" in job:
+        _need_at_least(job["twist_degree"], 0, "$.twist_degree")
+    if not isinstance(job.get("section", {}), (dict, list)):
+        raise JobError(f"$.section: expected an object or an array, got {job['section']!r}")
+    if "m_degrees" in job and not sz._need_ints(job["m_degrees"], "$.m_degrees"):
+        raise JobError("$.m_degrees: expected at least one degree")
+    if "ample_degree" in job:
+        _need_at_least(job["ample_degree"], 1, "$.ample_degree")
+    if "line_degree" in job:
+        sz._need_int(job["line_degree"], "$.line_degree")
     for field in _REQUIRED_FIELDS[command]:
         if field not in job:
             raise JobError(f'$.{field}: required by the "{command}" command')
@@ -163,10 +166,6 @@ def _char_from_label(label: str, where: str):
     return values[0] if len(values) == 1 else tuple(values)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _section_rows(raw) -> list:
     """(char field, label, form field, form) for both section layouts: an
     object keyed by character label, or an array of {char, form} objects."""
@@ -179,12 +178,10 @@ def _section_rows(raw) -> list:
     for i, row in enumerate(raw):
         if not isinstance(row, dict) or "char" not in row or "form" not in row:
             raise JobError(f"section[{i}]: expected an object with char and form")
+        where = f"section[{i}].char"
         char = row["char"]
-        if not (_is_int(char) or isinstance(char, list) and all(map(_is_int, char))):
-            raise JobError(
-                f"section[{i}].char: expected an integer or an array of integers, got {char!r}"
-            )
-        rows.append((f"section[{i}].char", char, f"section[{i}].form", row["form"]))
+        char = sz._need_ints(char, where) if isinstance(char, list) else sz._need_int(char, where)
+        rows.append((where, char, f"section[{i}].form", row["form"]))
     return rows
 
 

@@ -75,6 +75,11 @@ def _need_int(obj, where: str) -> int:
     return obj
 
 
+def _need_ints(obj, where: str) -> tuple:
+    """An array of integers, each entry named where[i] when it is not one."""
+    return tuple(_need_int(v, f"{where}[{i}]") for i, v in enumerate(_need_list(obj, where)))
+
+
 # ---------------------------------------------------------------------------
 # coefficient containers
 
@@ -161,21 +166,20 @@ def cover_from_json(obj, where: str = "cover") -> CoverAlgebra:
                 form_from_json(inner.get("branch"), f"{where}.double.branch")
             )
         if "group" in obj:
-            group = AbelianGroup(
-                tuple(_need_int(n, f"{where}.group[]") for n in _need_list(obj["group"], f"{where}.group"))
-            )
+            group = AbelianGroup(_need_ints(obj["group"], f"{where}.group"))
             twists = {}
             for i, row in enumerate(_need_list(obj.get("twists", []), f"{where}.twists")):
                 row = _need_dict(row, f"{where}.twists[{i}]")
-                rho = tuple(_need_list(row.get("char"), f"{where}.twists[{i}].char"))
+                rho = _need_ints(row.get("char"), f"{where}.twists[{i}].char")
                 twists[rho] = _need_int(row.get("degree"), f"{where}.twists[{i}].degree")
             forms = {}
             for i, row in enumerate(_need_list(obj.get("forms", []), f"{where}.forms")):
                 row = _need_dict(row, f"{where}.forms[{i}]")
-                pair = _need_list(row.get("chars"), f"{where}.forms[{i}].chars")
+                chars = f"{where}.forms[{i}].chars"
+                pair = _need_list(row.get("chars"), chars)
                 if len(pair) != 2:
-                    raise JobError(f"{where}.forms[{i}].chars: expected two characters")
-                key = (tuple(pair[0]), tuple(pair[1]))
+                    raise JobError(f"{chars}: expected two characters")
+                key = (_need_ints(pair[0], f"{chars}[0]"), _need_ints(pair[1], f"{chars}[1]"))
                 forms[key] = form_from_json(row.get("form"), f"{where}.forms[{i}].form")
             return CoverAlgebra(group, twists, forms)
     except JobError:

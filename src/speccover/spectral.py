@@ -30,7 +30,6 @@ from .exactalg import (
     ProjPoint,
     UniPoly,
     char_poly_matrix,
-    eta_gcd,
     factor_rational,
     homogenize,
     kpoly_divmod,
@@ -465,33 +464,29 @@ def singular_locus(curve: SpectralCurve) -> list:
             "the zero section cuts a non-reduced scheme; nothing to report"
         )
     form = curve.annihilating
-    f0 = form.dehomogenize(0)
-    if eta_gcd(f0, f0.deta()).degree() > 0:
+    disc = eta_discriminant(form)
+    if disc.is_zero():
         raise NonReducedCurveError("polynomial is not squarefree; reduce it first")
-    n = form.degree
-    if n == 1:
+    if form.degree == 1:
         return []
     found = []
-    for chart in (0, 1):
-        f = form.dehomogenize(chart)
-        disc = resultant(f, f.deta())
-        if disc.is_zero():
-            raise NonReducedCurveError("identically vanishing discriminant")
-        _, factors = factor_rational(disc)
-        for p, mult in factors:
-            if mult < 2:
-                continue
-            if chart == 1 and p != UniPoly.x():
-                continue  # only the point at infinity is new on the second chart
-            if p.degree() == 1:
-                w0 = -p.coeffs[0]
-                point = ProjPoint.of(w0, 1) if chart == 0 else ProjPoint.of(1, w0)
-                for eta in _rational_singular_etas(f, w0):
-                    found.append(SingularPoint(chart, point=point, eta=eta))
-            else:
-                eta = _extension_singular_eta(f, p)
-                if eta is not None:
-                    found.append(SingularPoint(0, modulus=p, eta=eta))
+    f = form.dehomogenize(0)
+    _, factors = factor_rational(disc.dehomogenize(0))
+    for p, mult in factors:
+        if mult < 2:
+            continue
+        if p.degree() == 1:
+            w0 = -p.coeffs[0]
+            for eta in _rational_singular_etas(f, w0):
+                found.append(SingularPoint(0, point=ProjPoint.of(w0, 1), eta=eta))
+        else:
+            eta = _extension_singular_eta(f, p)
+            if eta is not None:
+                found.append(SingularPoint(0, modulus=p, eta=eta))
+    # only the point at infinity is new on the second chart, where it is w = 0
+    if vanishing_order(disc, ProjPoint.of(1, 0)) >= 2:
+        for eta in _rational_singular_etas(form.dehomogenize(1), Fraction(0)):
+            found.append(SingularPoint(1, point=ProjPoint.of(1, 0), eta=eta))
     found.sort(key=lambda sp: sp.locus_key())
     return found
 

@@ -1,10 +1,13 @@
 """Tests for the JSON codecs and the command-line driver."""
 
+import ast
 import importlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -117,13 +120,32 @@ def test_schema_rejects_unknown_fields():
 
 
 def test_schema_pointer_names_bad_field():
-    with pytest.raises(JobError, match=r"\$\.twist_degree"):
-        cli.validate_job(conic_job(twist_degree=-1))
-    with pytest.raises(JobError, match=r"\$\.m_degrees"):
-        cli.validate_job(
-            {"command": "stability", "cover": {"r": 2}, "twist_degree": 1,
-             "section": {}, "m_degrees": []}
-        )
+    # one bad value per top-level rule; integer fields refuse JSON floats
+    stability = {"command": "stability", "cover": {"r": 2}, "twist_degree": 1, "section": {}}
+    cases = [
+        ([1], r"^\$: expected an object"),
+        (conic_job(schema="2"), r"^\$\.schema:"),
+        (conic_job(schema=1), r"^\$\.schema:"),
+        (conic_job(command="bogus"), r"^\$\.command:"),
+        (conic_job(command=["compute"]), r"^\$\.command:"),
+        ({"cover": {"r": 2}}, r"^\$\.command:"),
+        (conic_job(label=7), r"^\$\.label:"),
+        (conic_job(cover=[2]), r"^\$\.cover:"),
+        (conic_job(twist_degree=-1), r"^\$\.twist_degree: -1 is less than the minimum of 0$"),
+        (conic_job(twist_degree=4.0), r"^\$\.twist_degree:"),
+        (conic_job(twist_degree="3"), r"^\$\.twist_degree:"),
+        (conic_job(twist_degree=True), r"^\$\.twist_degree:"),
+        (conic_job(section="1"), r"^\$\.section:"),
+        (dict(stability, m_degrees=[]), r"^\$\.m_degrees:"),
+        (dict(stability, m_degrees=2), r"^\$\.m_degrees:"),
+        (dict(stability, m_degrees=[0.0, 1]), r"^\$\.m_degrees\[0\]:"),
+        (dict(stability, m_degrees=[0, 1], ample_degree=0), r"^\$\.ample_degree: 0 is less than the minimum of 1$"),
+        (dict(stability, m_degrees=[0, 1], ample_degree=1.0), r"^\$\.ample_degree:"),
+        ({"command": "pushforward", "cover": {"r": 3}, "line_degree": 2.0}, r"^\$\.line_degree:"),
+    ]
+    for job, field in cases:
+        with pytest.raises(JobError, match=field):
+            cli.validate_job(job)
 
 
 def test_missing_required_field_is_named():
@@ -242,6 +264,22 @@ def test_malformed_section_exits_two_without_output(tmp_path, capsys):
     assert cli.main(["compute", "--input", path, "--output", str(out)]) == 2
     assert not out.exists()
     assert "section.1" in capsys.readouterr().err
+
+
+def test_explicit_cover_entries_are_checked(tmp_path, capsys):
+    twists = [{"char": [1], "degree": 1}, {"char": [2], "degree": 1}]
+    form = {"chars": [[1], [2]], "form": {"degree": 2, "coeffs": [1, 0, 0]}}
+    cases = [
+        (twists, [dict(form, chars=[1, 2])], "cover.forms[0].chars[0]: expected an array"),
+        (twists, [dict(form, chars=[[1], ["x"]])], "cover.forms[0].chars[1][0]: expected an integer"),
+        ([dict(twists[0], char=["a"]), twists[1]], [form], "cover.twists[0].char[0]: expected an integer"),
+        ([dict(twists[0], char=1), twists[1]], [form], "cover.twists[0].char: expected an array"),
+    ]
+    for twist_rows, form_rows, message in cases:
+        cover = {"group": [3], "twists": twist_rows, "forms": form_rows}
+        job = {"command": "genus", "cover": cover, "twist_degree": 1}
+        assert cli.main(["genus", "--input", write_job(tmp_path, job)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_command_mismatch_exits_two(tmp_path, capsys):
@@ -418,6 +456,34 @@ def test_benchmark_traced_functions_exist():
     assert len(layers.TRACED) == 22
     for name, (module, attr) in layers.TRACED.items():
         assert callable(getattr(importlib.import_module(f"speccover.{module}"), attr, None)), name
+
+
+def test_third_party_imports_match_declared_dependencies():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in declared}
+    imported = set()
+    for path in (root / "src" / "speccover").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared == {"sympy"}
+
+
+def test_cli_import_does_not_load_jsonschema():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, speccover.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import F, bf, char_poly_by_elimination, ep, rand_binform, rng_for, up
-from speccover.covers import SectionData, decompose_section, make_cyclic_triple, make_standard_cyclic
+from speccover.covers import (
+    SectionData,
+    decompose_section,
+    make_cyclic_triple,
+    make_double_cover,
+    make_standard_cyclic,
+)
 from speccover.errors import (
     DegreeError,
     NonDepressedCubicError,
@@ -14,7 +20,7 @@ from speccover.errors import (
     ShapeError,
     SingularityNotRepresentableError,
 )
-from speccover.exactalg import BinForm, ExtElem, ProjPoint, UniPoly
+from speccover.exactalg import BinForm, ExtElem, ProjPoint, UniPoly, vanishing_order
 from speccover.spectral import (
     CharData,
     EtaForm,
@@ -172,6 +178,16 @@ def test_spectral_curve_zero_section():
         singular_locus(curve)
 
 
+def test_singular_locus_refuses_non_squarefree_polynomial():
+    # r = 4 with support {2}: the characteristic polynomial is the square of
+    # the annihilating one, so its eta-discriminant vanishes identically
+    curve = spectral_curve(section(4, 2, {2: bf(1, [1, 1])}))
+    assert curve.char.char_form() == curve.annihilating * curve.annihilating
+    unreduced = SpectralCurve(curve.char, curve.char.char_form())
+    with pytest.raises(NonReducedCurveError, match="not squarefree"):
+        singular_locus(unreduced)
+
+
 # ---------------------------------------------------------------------------
 # discriminants
 
@@ -247,6 +263,16 @@ def test_singular_locus_point_at_infinity():
     assert pts[0].point == ProjPoint.of(1, 0)
     assert pts[0].chart == 1
     assert pts[0].eta == 0
+
+
+def test_singular_locus_node_at_infinity_off_the_branch_locus():
+    # the branch form s^2 + t^2 misses [1:0], so a node there gives the
+    # discriminant -4 t^2 (s^2 + t^2) order exactly 2 at [1:0]
+    cover = make_double_cover(bf(2, [1, 0, 1]))
+    curve = spectral_curve(SectionData(cover, 2, {(1,): bf(1, [1, 0])}))
+    assert vanishing_order(eta_discriminant(curve.annihilating), ProjPoint.of(1, 0)) == 2
+    pts = singular_locus(curve)
+    assert [(p.chart, p.point, p.eta) for p in pts] == [(1, ProjPoint.of(1, 0), 0)]
 
 
 def test_singular_locus_extension_point():
