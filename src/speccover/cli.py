@@ -38,7 +38,6 @@ from .errors import (
     InvalidPointError,
     JobError,
     ModulusError,
-    NonDepressedCubicError,
     NonReducedCurveError,
     PullbackSectionError,
     ShapeError,
@@ -54,7 +53,6 @@ from .spectral import (
     depressed_cubic_parts,
     discriminant_eta,
     double_cover_singularities,
-    eta_discriminant,
     singular_locus,
     spectral_curve,
 )
@@ -78,7 +76,6 @@ _INPUT_ERRORS = (
     ShapeError,
     InvalidPointError,
     ModulusError,
-    NonDepressedCubicError,
     NonReducedCurveError,
     PullbackSectionError,
     SingularityNotRepresentableError,
@@ -602,15 +599,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", metavar="PATH", help="write the report here (atomically) instead of stdout")
     common.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    common.add_argument(
+    with_input = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_input.add_argument("--input", metavar="PATH", help="JSON job file (default: stdin)")
+    # only compute and singular report anything chart by chart
+    with_chart = argparse.ArgumentParser(add_help=False, parents=[with_input])
+    with_chart.add_argument(
         "--chart",
         choices=("auto", "0", "1"),
         default="auto",
         help="affine chart for chart-level output (auto = both)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled self-checks")
-    with_input = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_input.add_argument("--input", metavar="PATH", help="JSON job file (default: stdin)")
 
     helps = {
         "compute": "characteristic and annihilating polynomials of the curve",
@@ -622,12 +620,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "stability": "subsheaf search and stability verdict for the induced pair",
     }
     for name, text in helps.items():
-        sub.add_parser(name, parents=[with_input], help=text)
+        sub.add_parser(name, parents=[with_chart if name in ("compute", "singular") else with_input], help=text)
     repro = sub.add_parser(
         "repro",
         parents=[common],
         help="recompute the frozen corpus and compare with the golden reports",
     )
+    repro.add_argument("--seed", type=int, default=0, help="seed for the sampled spot checks")
     repro.add_argument(
         "--update-golden",
         action="store_true",
@@ -666,7 +665,7 @@ def main(argv=None) -> int:
         if args.command == "repro":
             return _cmd_repro(args)
         job = _load_job(args)
-        doc = run_job(job, chart=args.chart)
+        doc = run_job(job, chart=getattr(args, "chart", "auto"))
         _emit(doc, args)
         return 0
     except _INPUT_ERRORS as exc:

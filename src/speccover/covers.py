@@ -18,7 +18,6 @@ from .errors import (
     DegreeError,
     InternalCheckError,
     ShapeError,
-    UnsupportedCoverError,
 )
 from .exactalg import BinForm, PolyMatrix, UniPoly
 
@@ -313,79 +312,6 @@ def is_standard_cyclic(alg: CoverAlgebra) -> bool:
         alg.twist_degrees == std.twist_degrees
         and alg.structure_forms == std.structure_forms
     )
-
-
-# ---------------------------------------------------------------------------
-# sections
-
-
-def decompose_section(r: int, d: int, sigma: BinForm) -> SectionData:
-    """Split a degree r*d form on the source into its residue-class parts.
-
-    Monomial x^a y^(rd-a) lands in class k = a mod r.  Class 0 collects a
-    degree-d form in (s, t) = (x^r, y^r); every other class collects a
-    degree-(d-1) form, the cofactor of x^k y^(r-k).
-    """
-    r, d = int(r), int(d)
-    if r < 1 or d < 0:
-        raise DegreeError("need r >= 1 and d >= 0")
-    if sigma.degree != r * d:
-        raise DegreeError(f"section degree {sigma.degree}, expected {r * d}")
-    cover = _standard(r)
-    if r == 1:
-        return SectionData(cover, d, {(): sigma})
-    parts = {k: [0] * (d if k else d + 1) for k in range(r)}
-    for a, coeff in enumerate(sigma.coeffs):
-        if coeff == 0:
-            continue
-        k = a % r
-        j = a // r
-        parts[k][j] = coeff
-    comps = {}
-    if any(parts[0]):
-        comps[(0,)] = BinForm(d, parts[0])
-    for k in range(1, r):
-        if d >= 1 and any(parts[k]):
-            comps[(k,)] = BinForm(d - 1, parts[k])
-        elif any(parts[k]):
-            raise InternalCheckError("nonzero component in an empty class")
-    return SectionData(cover, d, comps)
-
-
-def expand_section(sec: SectionData) -> BinForm:
-    """Inverse of decompose_section, for standard cyclic covers only."""
-    if not is_standard_cyclic(sec.cover):
-        raise UnsupportedCoverError("expansion in (x, y) needs the standard cyclic cover")
-    r, d = sec.cover.degree, sec.twist_degree
-    out = [0] * (r * d + 1)
-    for rho, form in sec.components.items():
-        k = rho[0] if rho else 0
-        for j, coeff in enumerate(form.coeffs):
-            out[r * j + k] += coeff
-    return BinForm(r * d, out)
-
-
-def add_sections(x: SectionData, y: SectionData) -> SectionData:
-    """Componentwise sum; both sections must share the cover and the twist."""
-    if x.cover != y.cover or x.twist_degree != y.twist_degree:
-        raise ShapeError("sections live over different covers or twists")
-    comps = dict(x.components)
-    for rho, form in y.components.items():
-        if rho in comps:
-            total = comps[rho] + form
-            if total.is_zero():
-                del comps[rho]
-            else:
-                comps[rho] = total
-        else:
-            comps[rho] = form
-    return SectionData(x.cover, x.twist_degree, comps)
-
-
-def is_pullback(sec: SectionData) -> bool:
-    """A section pulled back from the base has no nontrivial components."""
-    iden = sec.cover.group.identity()
-    return all(rho == iden for rho in sec.components)
 
 
 # ---------------------------------------------------------------------------

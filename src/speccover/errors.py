@@ -45,10 +45,6 @@ class PullbackSectionError(SpecCoverError):
     """Operation requires a section with at least one nontrivial character component."""
 
 
-class NonDepressedCubicError(SpecCoverError):
-    """Cubic has a nonzero quadratic term; complete the cube first."""
-
-
 class UnsupportedCoverError(SpecCoverError):
     """Operation is only implemented for standard cyclic covers."""
 

@@ -870,31 +870,6 @@ def resultant(f: EtaPoly, g: EtaPoly) -> UniPoly:
     return resultant_coeffs(f.coeffs, g.coeffs)
 
 
-def sylvester_matrix(fc: Sequence, gc: Sequence) -> list[list]:
-    """Sylvester matrix (descending-coefficient layout) for cross-checks."""
-    f = _pl_trim(list(fc))
-    g = _pl_trim(list(gc))
-    if not f or not g:
-        raise UndefinedResultantError("Sylvester matrix needs two nonzero polynomials")
-    ring = type(f[0])
-    df, dg = len(f) - 1, len(g) - 1
-    n = df + dg
-    fdesc = list(reversed(f))
-    gdesc = list(reversed(g))
-    rows = []
-    for i in range(dg):
-        row = [ring.zero()] * n
-        for j, c in enumerate(fdesc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(df):
-        row = [ring.zero()] * n
-        for j, c in enumerate(gdesc):
-            row[i + j] = c
-        rows.append(row)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # determinants of EtaPoly matrices
 
@@ -948,14 +923,6 @@ class PolyMatrix:
         self.n = n
         self.rows: tuple[tuple[UniPoly, ...], ...] = tuple(fixed)
 
-    @classmethod
-    def identity(cls, n: int) -> PolyMatrix:
-        return cls([[UniPoly.one() if i == j else UniPoly.zero() for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int) -> PolyMatrix:
-        return cls([[UniPoly.zero()] * n for _ in range(n)])
-
     def entry(self, i: int, j: int) -> UniPoly:
         return self.rows[i][j]
 
@@ -967,44 +934,16 @@ class PolyMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def __add__(self, other: PolyMatrix) -> PolyMatrix:
-        if self.n != other.n:
-            raise ShapeError("matrix size mismatch")
-        return PolyMatrix(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
-
-    def __sub__(self, other: PolyMatrix) -> PolyMatrix:
-        if self.n != other.n:
-            raise ShapeError("matrix size mismatch")
-        return PolyMatrix(
-            [[self.rows[i][j] - other.rows[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.n != other.n:
-                raise ShapeError("matrix size mismatch")
-            n = self.n
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = UniPoly.zero()
-                    for k in range(n):
-                        a = self.rows[i][k]
-                        if not a.is_zero():
-                            acc = acc + a * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix(out)
-        if isinstance(other, (UniPoly, int, Fraction)):
-            p = other if isinstance(other, UniPoly) else UniPoly.const(as_rat(other))
-            return PolyMatrix([[e * p for e in row] for row in self.rows])
-        raise TypeError(f"cannot multiply PolyMatrix by {other!r}")
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+    def apply(self, vec: Sequence[UniPoly]) -> list[UniPoly]:
+        """The matrix-vector product A * vec."""
+        out = []
+        for row in self.rows:
+            acc = UniPoly.zero()
+            for a, v in zip(row, vec):
+                if not a.is_zero() and not v.is_zero():
+                    acc = acc + a * v
+            out.append(acc)
+        return out
 
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
@@ -1053,9 +992,25 @@ def eta_gcd(f: EtaPoly, g: EtaPoly) -> EtaPoly:
     return a.scale(1 / a.lead.lead)
 
 
+def annihilates_unit(a: PolyMatrix, poly: EtaPoly) -> bool:
+    """Whether poly(A) e_0 = 0, by Horner on a vector: v <- A v + c e_0.
+
+    Each step costs one matrix-vector product.  When A is the regular
+    representation of an associative algebra whose basis vector 0 is the
+    unit, as ``covers.mult_matrix`` is, poly(A) is multiplication by
+    poly(A) e_0, so this holds exactly when poly(A) = 0.
+    """
+    vec = [UniPoly.zero()] * a.n
+    for c in reversed(poly.coeffs):
+        vec = a.apply(vec)
+        vec[0] = vec[0] + c
+    return all(e.is_zero() for e in vec)
+
+
 def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> EtaPoly:
     """Squarefree part of ``char``, the characteristic polynomial of ``a``,
-    verified to annihilate the matrix exactly."""
+    checked to annihilate the matrix with ``annihilates_unit`` (whose premise
+    on ``a`` it inherits)."""
     g = eta_gcd(char, char.deta())
     if g.degree() == 0:
         minimal = char
@@ -1063,15 +1018,8 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> EtaPoly:
         minimal = (char * g.lead).exact_div(g)
     if minimal.lead != UniPoly.one():
         raise InternalCheckError("minimal polynomial came out non-monic")
-    # exact annihilation check: evaluate via Horner at the matrix
-    acc = PolyMatrix.zeros(a.n)
-    ident = PolyMatrix.identity(a.n)
-    for c in reversed(minimal.coeffs):
-        acc = acc * a + ident * c
-    if not acc.is_zero():
-        raise InternalCheckError(
-            f"minimal polynomial fails to annihilate the matrix: got {acc!r}"
-        )
+    if not annihilates_unit(a, minimal):
+        raise InternalCheckError("minimal polynomial fails to annihilate the matrix")
     return minimal
 
 

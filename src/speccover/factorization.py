@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .covers import SectionData, is_standard_cyclic, make_standard_cyclic
 from .errors import InternalCheckError, UnsupportedCoverError
-from .exactalg import ProjPoint
-from .spectral import SpectralCurve, invariant_sections
+from .spectral import SpectralCurve
 
 PULLBACK = "pullback"
 BIRATIONAL = "birational"
@@ -99,32 +98,6 @@ def intermediate_factorization(sec: SectionData, curve: SpectralCurve) -> Factor
     else:
         verdict = PROPER
     return FactorizationReport(g, r_prime, tau, verdict)
-
-
-def eval_spectral_point(sec: SectionData, x: ProjPoint):
-    """Image of a source point on the curve: (base point, fiber value).
-
-    The fiber value follows the chart conventions: it is the section's value
-    at the point divided by the chart trivialization, chart 0 when the base
-    point has a nonzero second coordinate and chart 1 otherwise.
-    """
-    r = _require_standard(sec)
-    d = sec.twist_degree
-    x0, y0 = Fraction(x.a), Fraction(x.b)
-    base = ProjPoint.of(x0**r, y0**r)
-    sigma = Fraction(0)
-    for rho, form in sec.components.items():
-        k = rho[0] if rho else 0
-        xi = x0**k * y0 ** (r - k) if k else Fraction(1)
-        sigma += xi * form.evaluate(x0**r, y0**r)
-    scale = y0 ** (r * d) if y0 != 0 else x0 ** (r * d)
-    eta = sigma / scale
-    check = invariant_sections(sec).char_form()
-    chart = 0 if y0 != 0 else 1
-    w0 = Fraction(base.a, base.b) if chart == 0 else Fraction(base.b, base.a)
-    if check.dehomogenize(chart).at_base(w0).evaluate(eta) != 0:
-        raise InternalCheckError("spectral point fails its own curve equation")
-    return base, eta
 
 
 def _distinct_fiber_base(curve: SpectralCurve):

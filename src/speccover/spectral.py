@@ -3,8 +3,8 @@
 Multiplication by a decomposed section, pushed down to the base, is a matrix
 of binary forms.  This module extracts its characteristic and annihilating
 data as honest homogeneous objects, locates the singular points of the curve
-those cut out, and carries the specialized double- and triple-cover
-singularity criteria.
+those cut out, and carries the closed-form singularity predictor for double
+covers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .covers import SectionData, make_double_cover, mult_matrix
 from .errors import (
     DegreeError,
     InternalCheckError,
-    NonDepressedCubicError,
     NonReducedCurveError,
     PullbackSectionError,
     ShapeError,
@@ -29,6 +28,7 @@ from .exactalg import (
     ExtElem,
     ProjPoint,
     UniPoly,
+    annihilates_unit,
     char_poly_matrix,
     factor_rational,
     homogenize,
@@ -242,12 +242,6 @@ class SingularPoint:
         return f"({where}, eta = {eta})"
 
 
-@dataclass(frozen=True)
-class TripleTestResult:
-    status: str  # smooth | singular-case-a | singular-case-b
-    point: SingularPoint = None
-
-
 # ---------------------------------------------------------------------------
 # characteristic and annihilating data
 
@@ -283,22 +277,43 @@ def invariant_sections(sec: SectionData) -> CharData:
     return CharData(r, d, elementary)
 
 
+def _certify_squarefree(f: EtaPoly, twist: int) -> None:
+    """Prove that the monic chart-0 polynomial f is squarefree over Q(w).
+
+    Its eta-discriminant has degree at most n(n-1) * twist in w, and a base
+    value w0 whose fibre f(w0, eta) is squarefree of degree n proves it
+    nonzero.  A squarefree f has such a w0 among the first n(n-1) * twist + 1
+    values 0, 1, -1, 2, ..., so a search that finds none has found a defect.
+    """
+    n = f.degree()
+    for k in range(n * (n - 1) * twist + 1):
+        w0 = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
+        fibre = f.at_base(w0)
+        if fibre.degree() == n and poly_gcd(fibre, fibre.derivative()).degree() == 0:
+            return
+    raise InternalCheckError("annihilating polynomial is not squarefree")
+
+
 def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
     """Reduced (squarefree) part of the characteristic polynomial.
 
-    ``char`` is ``invariant_sections(sec)``.  Each chart's squarefree part is
-    taken from it and checked to annihilate that chart's matrix.
+    ``char`` is ``invariant_sections(sec)``.  The squarefree part m is taken
+    once, on chart 0, and certified squarefree at one base value; with the
+    check char = m^k in ``spectral_curve`` that proves m = sqfree(char).
+    m(sigma) = 0 is checked in the cover algebra on both charts, as m(M) e_0
+    = 0 by ``annihilates_unit``.  This is as strong as m(M) = 0, because
+    ``mult_matrix`` is the regular representation of a commutative,
+    associative algebra with unit e_0, the trivial character:
+    ``validate_algebra`` checks this for explicit covers, and the built-in
+    constructors satisfy it by construction.
     """
     d = sec.twist_degree
-    char_form = char.char_form()
-    forms = []
-    for chart in (0, 1):
-        cp = char_form.dehomogenize(chart)
-        mp = min_poly_matrix(mult_matrix(sec, chart), cp)
-        forms.append(_homogenized_eta(mp, d, chart, "annihilating polynomial"))
-    if forms[0].coeffs != forms[1].coeffs:
-        raise InternalCheckError("charts disagree on the annihilating polynomial")
-    return forms[0]
+    minimal = min_poly_matrix(mult_matrix(sec, 0), char.char_form().dehomogenize(0))
+    form = _homogenized_eta(minimal, d, 0, "annihilating polynomial")
+    _certify_squarefree(minimal, d)
+    if not annihilates_unit(mult_matrix(sec, 1), form.dehomogenize(1)):
+        raise InternalCheckError("annihilating polynomial fails to annihilate on chart 1")
+    return form
 
 
 def spectral_curve(sec: SectionData) -> SpectralCurve:
@@ -379,32 +394,6 @@ def depressed_cubic_parts(form: EtaForm):
 
 # ---------------------------------------------------------------------------
 # singular locus
-
-
-def _local_order(h: UniPoly, w0: Fraction):
-    """Multiplicity of w0 as a root; None stands for infinite order."""
-    if h.is_zero():
-        return None
-    order = 0
-    while h.evaluate(w0) == 0:
-        h, rem = h.divmod(UniPoly((-w0, 1)))
-        assert rem.is_zero()
-        order += 1
-    return order
-
-
-def _modulus_order(h: UniPoly, p: UniPoly):
-    if h.is_zero():
-        return None
-    order = 0
-    while (h % p).is_zero():
-        h = h.exact_div(p)
-        order += 1
-    return order
-
-
-def _at_least(order, k: int) -> bool:
-    return order is None or order >= k
 
 
 def _kpoly_derivative(a: list) -> list:
@@ -493,65 +482,6 @@ def singular_locus(curve: SpectralCurve) -> list:
 
 # ---------------------------------------------------------------------------
 # specialized criteria
-
-
-def triple_singularity_test(a, b, locus, chart: int = 0) -> TripleTestResult:
-    """Local singularity test for a depressed cubic eta^3 + a eta + b.
-
-    ``a`` and ``b`` are chart polynomials (binary forms are dehomogenized on
-    the given chart); ``locus`` is a rational base value or a monic
-    irreducible polynomial in the chart coordinate.  The curve is singular
-    above the locus exactly when either a vanishes there and b doubly so
-    (then eta = 0), or a does not vanish but 4a^3 + 27b^2 doubly does (then
-    eta = -3b/2a).
-    """
-    if isinstance(a, BinForm):
-        a = a.dehomogenize(chart)
-    if isinstance(b, BinForm):
-        b = b.dehomogenize(chart)
-    if isinstance(locus, UniPoly):
-        if locus.degree() == 1:
-            return triple_singularity_test(a, b, -locus.coeffs[0], chart)
-        order_a = _modulus_order(a, locus)
-        if _at_least(order_a, 1):
-            if _at_least(_modulus_order(b, locus), 2):
-                eta = reduce_mod(UniPoly.zero(), locus)
-                pt = SingularPoint(0, modulus=locus, eta=eta, certificate="lemma-case-a")
-                return TripleTestResult("singular-case-a", pt)
-            return TripleTestResult("smooth")
-        delta = a**3 * 4 + b**2 * 27
-        if _at_least(_modulus_order(delta, locus), 2):
-            eta = reduce_mod(b * -3, locus) * reduce_mod(a * 2, locus).inv()
-            pt = SingularPoint(0, modulus=locus, eta=eta, certificate="lemma-case-b")
-            return TripleTestResult("singular-case-b", pt)
-        return TripleTestResult("smooth")
-    w0 = Fraction(locus)
-    point = ProjPoint.of(w0, 1) if chart == 0 else ProjPoint.of(1, w0)
-    order_a = _local_order(a, w0)
-    if _at_least(order_a, 1):
-        if _at_least(_local_order(b, w0), 2):
-            pt = SingularPoint(chart, point=point, eta=Fraction(0), certificate="lemma-case-a")
-            return TripleTestResult("singular-case-a", pt)
-        return TripleTestResult("smooth")
-    delta = a**3 * 4 + b**2 * 27
-    if _at_least(_local_order(delta, w0), 2):
-        eta = Fraction(-3) * b.evaluate(w0) / (2 * a.evaluate(w0))
-        pt = SingularPoint(chart, point=point, eta=eta, certificate="lemma-case-b")
-        return TripleTestResult("singular-case-b", pt)
-    return TripleTestResult("smooth")
-
-
-def triple_test_cubic(cubic: EtaPoly, locus, chart: int = 0) -> TripleTestResult:
-    """Entry point for a full monic cubic chart polynomial.
-
-    Refuses cubics that still carry an eta^2 term; complete the cube first
-    (depressed_cubic_parts does this at the level of forms).
-    """
-    if cubic.degree() != 3 or cubic.lead != UniPoly.one():
-        raise DegreeError("need a monic cubic in eta")
-    if not cubic.coeff(2).is_zero():
-        raise NonDepressedCubicError("eta^2 coefficient is nonzero; complete the cube")
-    return triple_singularity_test(cubic.coeff(1), cubic.coeff(0), locus, chart)
 
 
 def double_cover_singularities(f: BinForm, g: BinForm, branch: BinForm) -> list:

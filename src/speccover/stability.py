@@ -281,11 +281,7 @@ def kernel_basis(mat: PolyMatrix) -> list:
             vec[p_col] = UniPoly.zero() - acc
         basis.append(_vector_primitive(vec))
     for vec in basis:
-        image = [UniPoly.zero()] * n
-        for i in range(n):
-            for j in range(n):
-                image[i] = image[i] + mat.rows[i][j] * vec[j]
-        if any(not e.is_zero() for e in image):
+        if any(not e.is_zero() for e in mat.apply(vec)):
             raise InternalCheckError("kernel vector fails the exact matrix identity")
     return basis
 

@@ -245,6 +245,20 @@ def test_chart_flag_limits_output(tmp_path, capsys):
     assert "annihilating_chart0" not in doc["results"]
 
 
+def test_flags_belong_to_the_commands_that_read_them(tmp_path, capsys):
+    path = write_job(tmp_path, conic_job())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "--input", path, "--seed", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["repro", "--chart", "0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["discriminant", "--input", path, "--chart", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -416,6 +430,18 @@ def test_singular_reports_prediction_for_double_cover(tmp_path, capsys):
 # work per job
 
 
+def curve_jobs():
+    """One r = 3 job for each command that builds a spectral curve."""
+    base = {
+        "cover": {"r": 3},
+        "twist_degree": 2,
+        "section": {"1": {"degree": 1, "coeffs": [1, 1]}, "2": {"degree": 1, "coeffs": [-1, 1]}},
+    }
+    for command in ("compute", "discriminant", "singular", "factor"):
+        yield dict(base, command=command)
+    yield dict(base, command="stability", m_degrees=[0, 1])
+
+
 def test_each_curve_job_computes_two_characteristic_polynomials(monkeypatch):
     # one per chart: every command builds its spectral curve once and passes
     # the characteristic data down instead of recomputing it
@@ -430,21 +456,28 @@ def test_each_curve_job_computes_two_characteristic_polynomials(monkeypatch):
 
     monkeypatch.setattr(exactalg, "char_poly_matrix", counted)
     monkeypatch.setattr(spectral, "char_poly_matrix", counted)
-    base = {
-        "cover": {"r": 3},
-        "twist_degree": 2,
-        "section": {"1": {"degree": 1, "coeffs": [1, 1]}, "2": {"degree": 1, "coeffs": [-1, 1]}},
-    }
-    for command, extra in (
-        ("compute", {}),
-        ("discriminant", {}),
-        ("singular", {}),
-        ("factor", {}),
-        ("stability", {"m_degrees": [0, 1]}),
-    ):
+    for job in curve_jobs():
         calls.clear()
-        cli.run_job(dict(base, command=command, **extra))
-        assert calls == [3, 3], command
+        cli.run_job(job)
+        assert calls == [3, 3], job["command"]
+
+
+def test_each_curve_job_takes_one_squarefree_part(monkeypatch):
+    # the squarefree part is taken once, on chart 0; chart 1 only checks it
+    from speccover import exactalg
+
+    original = exactalg.eta_gcd
+    calls = []
+
+    def counted(f, g):
+        calls.append(f.degree())
+        return original(f, g)
+
+    monkeypatch.setattr(exactalg, "eta_gcd", counted)
+    for job in curve_jobs():
+        calls.clear()
+        cli.run_job(job)
+        assert calls == [3], job["command"]
 
 
 def test_benchmark_traced_functions_exist():

@@ -12,7 +12,9 @@ import pytest
 import sympy
 
 from conftest import F, bf, ep, rand_binform, rand_unipoly, rng_for, up
+from oracles import sylvester_matrix
 from speccover import exactalg
+from speccover.covers import SectionData, make_standard_cyclic, mult_matrix
 from speccover.errors import (
     DegreeError,
     InfiniteOrderError,
@@ -40,7 +42,6 @@ from speccover.exactalg import (
     reduce_mod,
     resultant,
     resultant_coeffs,
-    sylvester_matrix,
     vanishing_order,
 )
 
@@ -448,7 +449,7 @@ def test_det_paths_agree_random():
 
 
 def test_char_poly_identity_matrix():
-    ident = PolyMatrix.identity(3)
+    ident = PolyMatrix([[UniPoly.one() if i == j else UniPoly.zero() for j in range(3)] for i in range(3)])
     out = char_poly_matrix(ident)
     # (eta - 1)^3
     expected = EtaPoly((UniPoly.const(-1), UniPoly.one())) ** 3
@@ -512,31 +513,32 @@ def test_char_poly_rejects_non_square():
         PolyMatrix([[UniPoly.one(), UniPoly.zero()]])
 
 
+# min_poly_matrix checks annihilation on the unit vector, which proves it only
+# for a regular representation, so its inputs are cover multiplication matrices
+
+
 def test_min_poly_of_repeated_double_cover_block():
-    # char = (eta^2 - w g^2)^2 must reduce to eta^2 - w g^2
+    # r = 4 with support {2}: char = (eta^2 - w g^2)^2 must reduce to eta^2 - w g^2
     g = up(5, 1)
     w = UniPoly.x()
-    z = UniPoly.zero()
-    a = PolyMatrix([
-        [z, z, w * g, z],
-        [z, z, z, w * g],
-        [g, z, z, z],
-        [z, g, z, z],
-    ])
+    a = mult_matrix(SectionData(make_standard_cyclic(4), 2, {2: bf(1, [5, 1])}), 0)
     out = min_poly_matrix(a, char_poly_matrix(a))
     assert out == EtaPoly((-(w * g * g), UniPoly.zero(), UniPoly.one()))
 
 
 def test_min_poly_scalar_matrix():
+    # a section pulled back from the base multiplies by the scalar h
     h = up(1, 2)
-    a = PolyMatrix([[h, UniPoly.zero()], [UniPoly.zero(), h]])
+    a = mult_matrix(SectionData(make_standard_cyclic(2), 1, {0: bf(1, [1, 2])}), 0)
     assert min_poly_matrix(a, char_poly_matrix(a)) == EtaPoly((-h, UniPoly.one()))
 
 
 def test_min_poly_squarefree_and_divides_char():
     rng = rng_for("minpoly")
     for _ in range(10):
-        a = PolyMatrix([[rand_unipoly(rng, 1) for _ in range(3)] for _ in range(3)])
+        r = rng.randint(2, 5)
+        comps = {k: rand_binform(rng, 1 if k == 0 else 0) for k in range(r) if rng.random() < 0.6}
+        a = mult_matrix(SectionData(make_standard_cyclic(r), 1, comps), rng.randint(0, 1))
         char = char_poly_matrix(a)
         minimal = min_poly_matrix(a, char)
         # divides

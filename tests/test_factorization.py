@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import bf, rand_binform, rng_for
-from speccover.covers import SectionData, is_pullback, make_double_cover, make_standard_cyclic
+from oracles import eval_spectral_point, is_pullback
+from speccover.covers import SectionData, make_double_cover, make_standard_cyclic
 from speccover.errors import InvalidPointError, UnsupportedCoverError
 from speccover.exactalg import BinForm, ProjPoint
 from speccover.factorization import (
@@ -13,7 +14,6 @@ from speccover.factorization import (
     PROPER,
     PULLBACK,
     birationality_verdict,
-    eval_spectral_point,
     intermediate_factorization,
 )
 from speccover.spectral import SpectralCurve, annihilating_poly, invariant_sections, spectral_curve

@@ -5,22 +5,33 @@ from fractions import Fraction
 import pytest
 
 from conftest import F, bf, char_poly_by_elimination, ep, rand_binform, rng_for, up
-from speccover.covers import (
-    SectionData,
+from oracles import (
+    NonDepressedCubicError,
+    annihilating_by_matrix_powers,
     decompose_section,
+    triple_singularity_test,
+    triple_test_cubic,
+)
+from speccover import exactalg, spectral
+from speccover.covers import (
+    AbelianGroup,
+    CoverAlgebra,
+    SectionData,
     make_cyclic_triple,
     make_double_cover,
     make_standard_cyclic,
+    mult_matrix,
+    validate_algebra,
 )
 from speccover.errors import (
     DegreeError,
-    NonDepressedCubicError,
+    InternalCheckError,
     NonReducedCurveError,
     PullbackSectionError,
     ShapeError,
     SingularityNotRepresentableError,
 )
-from speccover.exactalg import BinForm, ExtElem, ProjPoint, UniPoly, vanishing_order
+from speccover.exactalg import BinForm, EtaPoly, ExtElem, ProjPoint, UniPoly, annihilates_unit, vanishing_order
 from speccover.spectral import (
     CharData,
     EtaForm,
@@ -36,8 +47,6 @@ from speccover.spectral import (
     invariant_sections,
     singular_locus,
     spectral_curve,
-    triple_singularity_test,
-    triple_test_cubic,
 )
 
 S, T = BinForm.s(), BinForm.t()
@@ -160,6 +169,63 @@ def test_annihilating_generic_triple_is_char():
     sec = section(3, 2, {1: bf(1, [2, 1]), 2: bf(1, [1, -1])})
     char = invariant_sections(sec)
     assert annihilating_poly(sec, char).coeffs == char.char_form().coeffs
+
+
+def bidouble_cover() -> CoverAlgebra:
+    """Z/2 x Z/2 cover branched over s, t and s + t, given by explicit data."""
+    a, b, c = (1, 0), (0, 1), (1, 1)
+    da, db, dc = S, T, S + T
+    forms = {(b, c): da, (a, c): db, (a, b): dc, (a, a): db * dc, (b, b): da * dc, (c, c): da * db}
+    cover = CoverAlgebra(AbelianGroup((2, 2)), {a: 1, b: 1, c: 1}, forms)
+    assert validate_algebra(cover)
+    return cover
+
+
+def test_annihilating_matches_matrix_power_oracle():
+    rng = rng_for("annihilating-oracle")
+    sections = []
+    for r in range(2, 9):
+        d = 1 if r > 6 else 2
+        for _ in range(2):
+            support = rng.sample(range(r), rng.randint(1, r))
+            comps = {k: rand_binform(rng, d if k == 0 else d - 1, nonzero=True) for k in support}
+            sections.append(section(r, d, comps))
+    sections.append(section(6, 2, {2: bf(1, [1, 2]), 4: bf(1, [-1, 1])}))
+    sections.append(section(8, 1, {0: bf(1, [1, 1]), 4: BinForm.const(3)}))
+    triple = make_cyclic_triple(bf(1, [1, 2]), bf(1, [-1, 3]))
+    sections.append(SectionData(triple, 2, {0: bf(2, [1, 0, 1]), 1: bf(1, [2, -1]), 2: bf(1, [1, 1])}))
+    double = make_double_cover(bf(2, [-1, 0, 1]))
+    sections.append(SectionData(double, 2, {0: bf(2, [0, 1, 1]), 1: bf(1, [1, -2])}))
+    sections.append(
+        SectionData(bidouble_cover(), 2, {(0, 0): bf(2, [1, 0, -1]), (1, 0): bf(1, [1, 1]), (1, 1): bf(1, [2, -1])})
+    )
+    for sec in sections:
+        char = invariant_sections(sec)
+        assert annihilating_poly(sec, char).coeffs == annihilating_by_matrix_powers(sec, char).coeffs
+
+
+def test_annihilating_refuses_an_unreduced_square(monkeypatch):
+    # r = 4 with support {2} has char = mu^2.  With the eta-gcd skipped, char
+    # itself annihilates the matrix (Cayley-Hamilton) and is char^1, so only
+    # the squarefree certificate can refuse it
+    monkeypatch.setattr(exactalg, "eta_gcd", lambda f, g: EtaPoly.one())
+    with pytest.raises(InternalCheckError, match="not squarefree"):
+        spectral_curve(section(4, 2, {2: bf(1, [1, 1])}))
+
+
+def test_annihilation_check_refuses_a_perturbed_minimal_polynomial(monkeypatch):
+    sec = section(4, 2, {1: bf(1, [1, 2]), 2: bf(1, [0, 1]), 3: bf(1, [-1, 1])})
+    minimal = spectral_curve(sec).annihilating
+    for chart in (0, 1):
+        mat = mult_matrix(sec, chart)
+        m = minimal.dehomogenize(chart)
+        assert annihilates_unit(mat, m)
+        assert not annihilates_unit(mat, m + EtaPoly.one())
+    # chart 1 is checked by annihilating_poly itself, after the chart-0 result
+    original = spectral.min_poly_matrix
+    monkeypatch.setattr(spectral, "min_poly_matrix", lambda a, char: original(a, char) + EtaPoly.one())
+    with pytest.raises(InternalCheckError, match="chart 1"):
+        annihilating_poly(sec, invariant_sections(sec))
 
 
 def test_spectral_curve_bundles_consistently():
