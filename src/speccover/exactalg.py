@@ -304,22 +304,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         fa, fb = fb, _int_primitive(rem)
 
 
-def poly_xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = UniPoly.one(), UniPoly.zero()
-    v0, v1 = UniPoly.zero(), UniPoly.one()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    scale = 1 / r0.lead
-    return r0.monic(), u0 * scale, v0 * scale
-
-
 _SYMPY_W = sympy.Symbol("w")
 
 
@@ -1086,18 +1070,57 @@ class ExtElem:
         raise TypeError(f"cannot combine ExtElem with {other!r}")
 
     def inv(self) -> ExtElem:
+        """Inverse by fraction-free (Bareiss) elimination over Z.
+
+        Column j of the k x k system holds the coefficients of
+        value * w^j mod modulus, scaled to integers by one common
+        denominator; solving it for the unit vector e_0 gives the inverse.
+        A missing pivot means a singular system, i.e. a zero divisor.
+        """
+        from math import lcm
+
         if self.is_zero():
             raise NotInvertibleError("zero is not invertible")
-        g, u, _ = poly_xgcd(self.value, self.modulus)
-        if g.degree() != 0:
-            raise NotInvertibleError(
-                f"{self.value} shares factor {g} with modulus {self.modulus}"
-            )
-        return ExtElem(self.modulus, u % self.modulus)
-
-    def __truediv__(self, other) -> ExtElem:
-        other = self._coerce(other)
-        return self * other.inv()
+        p = self.modulus.coeffs
+        k = len(p) - 1
+        col = list(self.value.coeffs) + [Fraction(0)] * (k - len(self.value.coeffs))
+        cols = []
+        for _ in range(k):
+            cols.append(col)
+            top = col[-1]
+            col = [Fraction(0)] + col[:-1]
+            if top:
+                col = [c - top * m for c, m in zip(col, p)]
+        den = lcm(*(x.denominator for column in cols for x in column))
+        # augmented integer rows [den * M | e_0]
+        rows = [[int(cols[j][i] * den) for j in range(k)] + [int(i == 0)] for i in range(k)]
+        prev = 1
+        for c in range(k):
+            pivot = next((i for i in range(c, k) if rows[i][c]), None)
+            if pivot is None:
+                raise NotInvertibleError(
+                    f"{self.value} shares factor {poly_gcd(self.value, self.modulus)} "
+                    f"with modulus {self.modulus}"
+                )
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            piv = rows[c]
+            for i in range(c + 1, k):
+                row = rows[i]
+                lead = row[c]
+                rows[i] = [0] * (c + 1) + [
+                    (row[j] * piv[c] - lead * piv[j]) // prev for j in range(c + 1, k + 1)
+                ]
+            prev = piv[c]
+        # prev is +-det; prev * solution is integral (Cramer), so every
+        # division below is exact
+        sol = [0] * k
+        for i in range(k - 1, -1, -1):
+            acc = prev * rows[i][k] - sum(rows[i][j] * sol[j] for j in range(i + 1, k))
+            sol[i] = acc // rows[i][i]
+        out = ExtElem(self.modulus, UniPoly(Fraction(x * den, prev) for x in sol))
+        if (self * out).value != UniPoly.one():
+            raise InternalCheckError("residue-field inverse fails to multiply back to 1")
+        return out
 
     def __str__(self) -> str:
         return f"({self.value.str_in('w')} mod {self.modulus.str_in('w')})"
@@ -1140,10 +1163,14 @@ def kpoly_divmod(a: list[ExtElem], b: list[ExtElem]) -> tuple[list[ExtElem], lis
 
 
 def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
-    """Monic gcd of eta-polynomials over the residue field."""
+    """Monic gcd of eta-polynomials over the residue field.
+
+    Runs a pseudo-remainder sequence, which needs no inverse, and inverts
+    once at the end to make the result monic.
+    """
     a, b = kpoly_trim(list(a)), kpoly_trim(list(b))
     while b:
-        a, b = b, kpoly_divmod(a, b)[1]
+        a, b = b, _pl_pseudo_rem(a, b)
     if a:
         la = a[-1].inv()
         a = [c * la for c in a]

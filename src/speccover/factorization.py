@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .covers import SectionData, is_standard_cyclic, make_standard_cyclic
 from .errors import InternalCheckError, UnsupportedCoverError
-from .spectral import SpectralCurve
+from .spectral import SpectralCurve, squarefree_fibre_base
 
 PULLBACK = "pullback"
 BIRATIONAL = "birational"
@@ -42,7 +42,6 @@ class BirationalityVerdict:
     justification: str
     tau: SectionData = None
     witness_base: Fraction = None
-    sampling_complete: bool = True
 
 
 def _require_standard(sec: SectionData) -> int:
@@ -100,23 +99,6 @@ def intermediate_factorization(sec: SectionData, curve: SpectralCurve) -> Factor
     return FactorizationReport(g, r_prime, tau, verdict)
 
 
-def _distinct_fiber_base(curve: SpectralCurve):
-    """A rational base value where the fiber values are pairwise distinct.
-
-    Scans a fixed small list; returns None when every sample is ramified,
-    which callers must report as incomplete sampling rather than a verdict.
-    """
-    from .exactalg import resultant
-
-    f = curve.annihilating.dehomogenize(0)
-    disc = resultant(f, f.deta())
-    for k in range(5):
-        w0 = Fraction(k)
-        if disc.evaluate(w0) != 0:
-            return w0
-    return None
-
-
 def birationality_verdict(
     report: FactorizationReport, curve: SpectralCurve
 ) -> BirationalityVerdict:
@@ -131,14 +113,8 @@ def birationality_verdict(
             note = "multiplication acts as the scalar h_0"
         return BirationalityVerdict(PULLBACK, note, tau=report.tau)
     if report.verdict == BIRATIONAL:
-        base = _distinct_fiber_base(curve)
-        if base is None:
-            return BirationalityVerdict(
-                BIRATIONAL,
-                "support gcd is 1; no unramified sample point found",
-                witness_base=None,
-                sampling_complete=False,
-            )
+        form = curve.annihilating
+        base = squarefree_fibre_base(form.dehomogenize(0), form.twist)
         return BirationalityVerdict(
             BIRATIONAL,
             f"support gcd is 1; fiber values are distinct over w = {base}",

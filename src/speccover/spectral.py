@@ -277,20 +277,22 @@ def invariant_sections(sec: SectionData) -> CharData:
     return CharData(r, d, elementary)
 
 
-def _certify_squarefree(f: EtaPoly, twist: int) -> None:
-    """Prove that the monic chart-0 polynomial f is squarefree over Q(w).
+def squarefree_fibre_base(f: EtaPoly, twist: int) -> Fraction:
+    """First base value w0 of 0, 1, -1, 2, ... whose fibre f(w0, eta) keeps
+    eta-degree n and is squarefree; it proves f squarefree over Q(w).
 
-    Its eta-discriminant has degree at most n(n-1) * twist in w, and a base
-    value w0 whose fibre f(w0, eta) is squarefree of degree n proves it
-    nonzero.  A squarefree f has such a w0 among the first n(n-1) * twist + 1
-    values 0, 1, -1, 2, ..., so a search that finds none has found a defect.
+    f is a chart-0 polynomial whose eta^j coefficient has degree at most
+    (n - j) * twist, so its eta-discriminant has degree at most
+    n(n-1) * twist in w.  A squarefree f therefore has such a w0 among the
+    first n(n-1) * twist + 1 values, and a search that finds none has found
+    a defect.
     """
     n = f.degree()
     for k in range(n * (n - 1) * twist + 1):
         w0 = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
         fibre = f.at_base(w0)
         if fibre.degree() == n and poly_gcd(fibre, fibre.derivative()).degree() == 0:
-            return
+            return w0
     raise InternalCheckError("annihilating polynomial is not squarefree")
 
 
@@ -310,7 +312,7 @@ def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
     d = sec.twist_degree
     minimal = min_poly_matrix(mult_matrix(sec, 0), char.char_form().dehomogenize(0))
     form = _homogenized_eta(minimal, d, 0, "annihilating polynomial")
-    _certify_squarefree(minimal, d)
+    squarefree_fibre_base(minimal, d)
     if not annihilates_unit(mult_matrix(sec, 1), form.dehomogenize(1)):
         raise InternalCheckError("annihilating polynomial fails to annihilate on chart 1")
     return form
@@ -437,7 +439,7 @@ def _extension_singular_eta(f: EtaPoly, p: UniPoly):
         raise SingularityNotRepresentableError(
             f"several singular eta values over the divisor {p.str_in('w')} = 0"
         )
-    return -g[0] * g[1].inv()
+    return -g[0]  # g = eta - eta0 is monic
 
 
 def singular_locus(curve: SpectralCurve) -> list:

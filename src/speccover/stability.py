@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedCoverError,
 )
 from .exactalg import EtaPoly, PolyMatrix, UniPoly, as_rat, poly_gcd, rational_roots
-from .spectral import EtaForm, SpectralCurve, spectral_curve
+from .spectral import EtaForm, SpectralCurve, spectral_curve, squarefree_fibre_base
 
 STABLE = "stable"
 SEMISTABLE = "strictly-semistable"
@@ -164,21 +164,15 @@ def _lift_series_root(shifted, eta0: Fraction, order: int) -> UniPoly:
     return lam
 
 
-_BASE_CANDIDATES = tuple(
-    Fraction(v) for v in [0] + [s * k for k in range(1, 10) for s in (1, -1)] + [10]
-)
-
-
 @dataclass(frozen=True)
 class RootSearch:
-    """Polynomial eigenvalue branches of the reduced curve equation.
+    """All polynomial eigenvalue branches of the reduced curve equation.
 
-    ``complete`` is False when no unramified rational base value was found,
-    in which case ``roots`` must not be treated as exhaustive.
+    ``base`` is the unramified base value they were lifted from; it is None
+    for a curve of eta-degree one, whose one branch is read off directly.
     """
 
     roots: tuple[UniPoly, ...]
-    complete: bool
     base: Fraction = None
 
 
@@ -194,15 +188,8 @@ def polynomial_eta_roots(sec: SectionData, form: EtaForm) -> RootSearch:
     d = sec.twist_degree
     f = form.dehomogenize(0)
     if form.degree == 1:
-        return RootSearch((UniPoly.zero() - f.coeff(0),), True)
-    base = None
-    for w0 in _BASE_CANDIDATES:
-        fiber = f.at_base(w0)
-        if fiber.degree() == form.degree and poly_gcd(fiber, fiber.derivative()).degree() == 0:
-            base = w0
-            break
-    if base is None:
-        return RootSearch((), False)
+        return RootSearch((UniPoly.zero() - f.coeff(0),))
+    base = squarefree_fibre_base(f, d)
     order = 2 * r * d + 1
     shifted = EtaPoly(tuple(c.shift(base) for c in f.coeffs))
     roots = []
@@ -212,7 +199,7 @@ def polynomial_eta_roots(sec: SectionData, form: EtaForm) -> RootSearch:
         if cand.degree() <= d and f.eval_poly(cand).is_zero():
             roots.append(cand)
     roots.sort(key=lambda p: (p.degree(), p.coeffs))
-    return RootSearch(tuple(roots), True, base)
+    return RootSearch(tuple(roots), base)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +298,6 @@ class SubsheafRecord:
 @dataclass(frozen=True)
 class SearchResult:
     records: tuple
-    complete: bool
-    notes: tuple = ()
 
     def __iter__(self):
         return iter(self.records)
@@ -354,9 +339,6 @@ def invariant_subsheaf_search(
             )
     records.sort(key=lambda rec: (len(rec.indices), rec.indices))
 
-    notes = ()
-    if not roots.complete:
-        notes = ("eigenvalue search incomplete: every sampled base value was ramified",)
     eigen = []
     for lam in roots.roots:
         candidates = []
@@ -396,7 +378,7 @@ def invariant_subsheaf_search(
         )
     eigen.sort(key=lambda rec: (rec.eigenvalue.degree(), rec.eigenvalue.coeffs))
     records.extend(eigen)
-    return SearchResult(tuple(records), roots.complete, notes)
+    return SearchResult(tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +408,7 @@ def certify_integrality(
     ``polynomial_eta_roots``.  The curve of a degree-one cover is a graph,
     hence integral.  Otherwise the certificate needs the support gcd to be 1
     (the curve equation is not a proper power and the fiber values form a
-    single orbit) and a complete eigenvalue search with no polynomial branch.
+    single orbit) and an eigenvalue search that finds no polynomial branch.
     """
     from .factorization import intermediate_factorization
 
@@ -440,9 +422,7 @@ def certify_integrality(
             f"curve equation is a proper power (exponent {report.subcover_index})"
         )
         return IntegralityReport(False, tuple(reasons))
-    if not roots.complete:
-        reasons.append("eigenvalue search incomplete")
-    elif roots.roots:
+    if roots.roots:
         reasons.append("a polynomial eigenvalue branch splits off a component")
     return IntegralityReport(not reasons, tuple(reasons))
 
@@ -458,9 +438,9 @@ def gieseker_verdict(
 
     A record strictly above the total polynomial is a proof of instability
     and an equal one of strict semistability.  The stable verdict needs more
-    than an empty search: the search must be complete and the spectral curve
-    certified integral, since then kernel-line and block candidates are the
-    only invariant subsheaves there are.  Anything less stays undetermined.
+    than an empty search: the spectral curve must be certified integral,
+    since then kernel-line and block candidates are the only invariant
+    subsheaves there are.  Anything less stays undetermined.
 
     Returns the verdict together with the search and the integrality report
     it was decided from.
@@ -475,14 +455,13 @@ def gieseker_verdict(
     equal = [rec for rec in search.records if rec.hilbert == total]
     if above:
         witness = max(above, key=lambda rec: (rec.hilbert.linear, rec.hilbert.constant))
-        verdict = StabilityVerdict(UNSTABLE, witness, "direct-search", search.notes)
+        verdict = StabilityVerdict(UNSTABLE, witness, "direct-search")
     elif equal:
-        verdict = StabilityVerdict(SEMISTABLE, equal[0], "direct-search", search.notes)
-    elif search.complete and integrality.certified:
-        verdict = StabilityVerdict(STABLE, None, "prop-stability", search.notes)
+        verdict = StabilityVerdict(SEMISTABLE, equal[0], "direct-search")
+    elif integrality.certified:
+        verdict = StabilityVerdict(STABLE, None, "prop-stability")
     else:
-        notes = search.notes + integrality.reasons
-        verdict = StabilityVerdict(UNDETERMINED, None, "direct-search", notes)
+        verdict = StabilityVerdict(UNDETERMINED, None, "direct-search", integrality.reasons)
     return verdict, search, integrality
 
 

@@ -3,7 +3,8 @@
 Nothing in the package calls these.  Each one is either an independent way
 to compute something the package computes (the Sylvester matrix, the
 annihilating polynomial by matrix powers, the triple-cover criterion, points
-of the source mapped onto the curve), or a helper that builds and
+of the source mapped onto the curve, residue-field inverses and gcds by
+rational Euclid), or a helper that builds and
 recombines test sections on the standard cyclic cover.
 """
 
@@ -15,12 +16,24 @@ from speccover.covers import SectionData, is_standard_cyclic, make_standard_cycl
 from speccover.errors import (
     DegreeError,
     InternalCheckError,
+    NotInvertibleError,
     ShapeError,
+    SingularityNotRepresentableError,
     SpecCoverError,
     UndefinedResultantError,
     UnsupportedCoverError,
 )
-from speccover.exactalg import BinForm, EtaPoly, ProjPoint, UniPoly, eta_gcd, reduce_mod
+from speccover.exactalg import (
+    BinForm,
+    EtaPoly,
+    ExtElem,
+    ProjPoint,
+    UniPoly,
+    eta_gcd,
+    kpoly_from_etapoly,
+    kpoly_trim,
+    reduce_mod,
+)
 from speccover.spectral import CharData, EtaForm, SingularPoint, invariant_sections
 
 
@@ -191,6 +204,84 @@ def annihilating_by_matrix_powers(sec: SectionData, char: CharData) -> EtaForm:
     if forms[0].coeffs != forms[1].coeffs:
         raise InternalCheckError("charts disagree on the annihilating polynomial")
     return forms[0]
+
+
+# ---------------------------------------------------------------------------
+# residue fields Q[w]/(p) by rational Euclid
+
+
+def poly_xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """Extended gcd over Q: returns (g, u, v) with u*a + v*b = g, g monic."""
+    r0, r1 = a, b
+    u0, u1 = UniPoly.one(), UniPoly.zero()
+    v0, v1 = UniPoly.zero(), UniPoly.one()
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero():
+        return r0, u0, v0
+    scale = 1 / r0.lead
+    return r0.monic(), u0 * scale, v0 * scale
+
+
+def xgcd_inverse(x: ExtElem) -> ExtElem:
+    """Inverse in Q[w]/(p) from the Bezout identity u*x + v*p = 1; raises
+    NotInvertibleError when x is zero or shares a factor with p."""
+    if x.is_zero():
+        raise NotInvertibleError("zero is not invertible")
+    g, u, _ = poly_xgcd(x.value, x.modulus)
+    if g.degree() != 0:
+        raise NotInvertibleError(f"{x.value} shares factor {g} with modulus {x.modulus}")
+    return ExtElem(x.modulus, u % x.modulus)
+
+
+def _euclid_divmod(a: list, b: list) -> tuple[list, list]:
+    a = list(a)
+    inv_lead = xgcd_inverse(b[-1])
+    quot = [ExtElem(b[-1].modulus, UniPoly.zero())] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        if not a[-1].is_zero():
+            shift = len(a) - len(b)
+            factor = a[-1] * inv_lead
+            quot[shift] = factor
+            for i, c in enumerate(b):
+                a[shift + i] = a[shift + i] - factor * c
+        a.pop()
+    return kpoly_trim(quot), kpoly_trim(a)
+
+
+def euclid_kpoly_gcd(a: list, b: list) -> list:
+    """Monic gcd over Q[w]/(p) by monic Euclid, inverting every divisor's lead."""
+    a, b = kpoly_trim(list(a)), kpoly_trim(list(b))
+    while b:
+        a, b = b, _euclid_divmod(a, b)[1]
+    if a:
+        la = xgcd_inverse(a[-1])
+        a = [c * la for c in a]
+    return a
+
+
+def euclid_singular_eta(f: EtaPoly, p: UniPoly):
+    """``spectral._extension_singular_eta`` on the Euclid gcd and the Bezout
+    inverse: the singular eta value over the residue field of p, or None."""
+    fk = kpoly_from_etapoly(f, p)
+    dk = kpoly_from_etapoly(f.deta(), p)
+    wk = kpoly_from_etapoly(f.dw(), p)
+    g = euclid_kpoly_gcd(euclid_kpoly_gcd(fk, dk), wk)
+    if len(g) <= 1:
+        return None
+    if len(g) > 2:
+        deriv = kpoly_trim([g[j] * j for j in range(1, len(g))])
+        h = euclid_kpoly_gcd(g, deriv)
+        if len(h) > 1:
+            g, rem = _euclid_divmod(g, h)
+            if rem:
+                raise InternalCheckError("squarefree reduction left a remainder")
+    if len(g) != 2:
+        raise SingularityNotRepresentableError(f"several singular eta values over {p} = 0")
+    return -g[0] * xgcd_inverse(g[1])
 
 
 # ---------------------------------------------------------------------------

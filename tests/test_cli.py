@@ -480,6 +480,32 @@ def test_each_curve_job_takes_one_squarefree_part(monkeypatch):
         assert calls == [3], job["command"]
 
 
+def test_residue_field_gcd_inverts_once(monkeypatch):
+    # kpoly_gcd runs a pseudo-remainder sequence, which divides by nothing,
+    # and inverts one leading coefficient at the end to make the gcd monic
+    from speccover import exactalg, spectral
+
+    original_gcd, original_inv = exactalg.kpoly_gcd, exactalg.ExtElem.inv
+    inversions, per_gcd = [], []
+
+    def counted_inv(self):
+        inversions.append(1)
+        return original_inv(self)
+
+    def counted_gcd(a, b):
+        inversions.clear()
+        out = original_gcd(a, b)
+        per_gcd.append(len(inversions))
+        return out
+
+    monkeypatch.setattr(exactalg.ExtElem, "inv", counted_inv)
+    monkeypatch.setattr(spectral, "kpoly_gcd", counted_gcd)
+    job = next(job for job in curve_jobs() if job["command"] == "singular")
+    assert cli.run_job(job)["results"]["count"] == 2
+    assert len(per_gcd) >= 4
+    assert per_gcd == [1] * len(per_gcd)
+
+
 def test_benchmark_traced_functions_exist():
     # perfbench/layers.py wraps these by name; a rename would crash --trace 1
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"

@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from conftest import F, bf, ep, rand_binform, rand_unipoly, rng_for, up
-from oracles import sylvester_matrix
+from oracles import euclid_kpoly_gcd, poly_xgcd, sylvester_matrix, xgcd_inverse
 from speccover import exactalg
 from speccover.covers import SectionData, make_standard_cyclic, mult_matrix
 from speccover.errors import (
@@ -37,7 +37,6 @@ from speccover.exactalg import (
     homogenize,
     min_poly_matrix,
     poly_gcd,
-    poly_xgcd,
     rational_roots,
     reduce_mod,
     resultant,
@@ -587,6 +586,60 @@ def test_ext_non_invertible():
         x.inv()
 
 
+def _rand_monic(rng, k, rational):
+    """Monic degree-k modulus; with ``rational`` the coefficients are
+    fractions with denominators up to 6."""
+    return UniPoly([F(rng.randint(-9, 9), rng.randint(1, 6) if rational else 1) for _ in range(k)] + [1])
+
+
+def _rand_elem(rng, mod):
+    k = mod.degree()
+    return reduce_mod(UniPoly([F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(rng.randint(1, k))]), mod)
+
+
+def test_ext_inverse_matches_bezout_oracle():
+    rng = rng_for("ext-inverse")
+    checked = 0
+    for k in range(2, 17):
+        for rational in (False, True):
+            mod = _rand_monic(rng, k, rational)
+            for _ in range(3):
+                x = _rand_elem(rng, mod)
+                if x.is_zero():
+                    continue
+                got = x.inv()
+                assert got == xgcd_inverse(x)
+                assert (x * got).value == UniPoly.one()
+                checked += 1
+    assert checked >= 80
+
+
+def test_ext_zero_divisors_of_a_reducible_modulus():
+    a = up(-2, 0, 0, 1)  # w^3 - 2
+    b = UniPoly([F(5, 7), F(1, 3), 1])  # w^2 + w/3 + 5/7
+    mod = a * b
+    rng = rng_for("ext-zero-divisor")
+    for factor in (a, b):
+        for _ in range(4):
+            x = reduce_mod(factor * rand_unipoly(rng, 1, nonzero=True), mod)
+            with pytest.raises(NotInvertibleError):
+                xgcd_inverse(x)
+            with pytest.raises(NotInvertibleError):
+                x.inv()
+    unit = reduce_mod(a + b, mod)  # gcd(a + b, a b) = 1
+    assert unit.inv() == xgcd_inverse(unit)
+
+
+def _kpoly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [reduce_mod(UniPoly.zero(), a[0].modulus)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return exactalg.kpoly_trim(out)
+
+
 def test_kpoly_gcd():
     mod = up(1, 0, 1)
     # over K = Q[w]/(w^2+1): gcd of (eta - w)(eta + 1) and (eta - w) is eta - w
@@ -599,19 +652,44 @@ def test_kpoly_gcd():
     assert g[0].value == -UniPoly.x()
 
 
+def test_kpoly_gcd_matches_euclid_oracle():
+    # a planted common factor c over number fields of degree 2-9
+    rng = rng_for("kpoly-gcd")
+    for k in range(2, 10):
+        while True:
+            mod = _rand_monic(rng, k, rational=k % 2 == 0)
+            _, factors = factor_rational(mod)
+            if len(factors) == 1 and factors[0][1] == 1:
+                break
+
+        def kpoly(n):
+            return exactalg.kpoly_trim([_rand_elem(rng, mod) for _ in range(n)])
+
+        for _ in range(3):
+            c, u, v = kpoly(rng.randint(2, 3)), kpoly(rng.randint(1, 3)), kpoly(rng.randint(1, 3))
+            if not c or not u or not v:
+                continue
+            # the cofactors are coprime for most draws
+            assert exactalg.kpoly_gcd(u, v) == euclid_kpoly_gcd(u, v)
+            a, b = _kpoly_mul(c, u), _kpoly_mul(c, v)
+            got = exactalg.kpoly_gcd(a, b)
+            assert got == euclid_kpoly_gcd(a, b)
+            assert got == exactalg.kpoly_gcd(b, a)
+            assert got[-1].value == UniPoly.one()
+            assert exactalg.kpoly_divmod(got, c)[1] == []
+            assert exactalg.kpoly_divmod(a, got)[1] == [] and exactalg.kpoly_divmod(b, got)[1] == []
+        # a zero or constant second argument
+        a = kpoly(3)
+        assert exactalg.kpoly_gcd(a, []) == euclid_kpoly_gcd(a, [])
+        assert exactalg.kpoly_gcd(a, a[:1]) == euclid_kpoly_gcd(a, a[:1])
+
+
 def test_kpoly_divmod():
     mod = up(1, 0, 1)  # K = Q[w]/(w^2 + 1)
     rng = rng_for("kpoly-divmod")
 
     def kpoly(n):
         return exactalg.kpoly_trim([reduce_mod(rand_unipoly(rng, 1), mod) for _ in range(n)])
-
-    def mul(a, b):
-        out = [reduce_mod(UniPoly.zero(), mod)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return exactalg.kpoly_trim(out)
 
     def add(a, b):
         n = max(len(a), len(b))
@@ -625,9 +703,9 @@ def test_kpoly_divmod():
         if not b:
             continue
         # every fourth dividend is a multiple of b
-        a = mul(b, kpoly(rng.randint(1, 3))) if k % 4 == 0 else kpoly(rng.randint(0, 6))
+        a = _kpoly_mul(b, kpoly(rng.randint(1, 3))) if k % 4 == 0 else kpoly(rng.randint(0, 6))
         q, r = exactalg.kpoly_divmod(a, b)
-        assert add(mul(q, b), r) == a
+        assert add(_kpoly_mul(q, b), r) == a
         assert len(r) < len(b)
         zero_remainders += not r
     assert zero_remainders >= 5

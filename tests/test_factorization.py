@@ -8,7 +8,7 @@ from conftest import bf, rand_binform, rng_for
 from oracles import eval_spectral_point, is_pullback
 from speccover.covers import SectionData, make_double_cover, make_standard_cyclic
 from speccover.errors import InvalidPointError, UnsupportedCoverError
-from speccover.exactalg import BinForm, ProjPoint
+from speccover.exactalg import BinForm, ProjPoint, poly_gcd
 from speccover.factorization import (
     BIRATIONAL,
     PROPER,
@@ -237,9 +237,11 @@ def test_verdict_zero_section():
 def test_verdict_birational_with_witness():
     v = verdict(section(2, 2, {1: bf(1, [0, 1])}))
     assert v.kind == BIRATIONAL
-    assert v.sampling_complete
     assert v.witness_base is not None
     assert v.witness_base != 0  # w = 0 is always ramified here
+    fibre = spectral_curve(section(2, 2, {1: bf(1, [0, 1])})).annihilating.dehomogenize(0)
+    fibre = fibre.at_base(v.witness_base)
+    assert fibre.degree() == 2 and poly_gcd(fibre, fibre.derivative()).degree() == 0
 
 
 def test_verdict_proper_factorization_carries_tau():
@@ -250,11 +252,11 @@ def test_verdict_proper_factorization_carries_tau():
     assert "degree-2" in v.justification
 
 
-def test_sampling_failure_sets_flag_not_verdict():
-    # branch values collide at every sampled base point w = 0..4
+def test_witness_search_passes_ramified_bases():
+    # branch values collide at w = 0..4; the search runs 0, 1, -1, 2, ...
     f = bf(5, [0, 24, -50, 35, -10, 1])  # w(w-1)(w-2)(w-3)(w-4) homogenized
     assert [f.dehomogenize(0).evaluate(k) for k in range(5)] == [0] * 5
     v = verdict(section(2, 6, {1: f}))
     assert v.kind == BIRATIONAL
-    assert not v.sampling_complete
-    assert v.witness_base is None
+    assert v.witness_base == -1
+    assert v.justification == "support gcd is 1; fiber values are distinct over w = -1"

@@ -9,6 +9,7 @@ from oracles import (
     NonDepressedCubicError,
     annihilating_by_matrix_powers,
     decompose_section,
+    euclid_singular_eta,
     triple_singularity_test,
     triple_test_cubic,
 )
@@ -31,7 +32,16 @@ from speccover.errors import (
     ShapeError,
     SingularityNotRepresentableError,
 )
-from speccover.exactalg import BinForm, EtaPoly, ExtElem, ProjPoint, UniPoly, annihilates_unit, vanishing_order
+from speccover.exactalg import (
+    BinForm,
+    EtaPoly,
+    ExtElem,
+    ProjPoint,
+    UniPoly,
+    annihilates_unit,
+    factor_rational,
+    vanishing_order,
+)
 from speccover.spectral import (
     CharData,
     EtaForm,
@@ -352,6 +362,37 @@ def test_singular_locus_extension_point():
     assert isinstance(pts[0].eta, ExtElem)
     # eta = f at the locus: f = t^3 reduces to 1 mod w^2+1 on chart 0
     assert pts[0].eta.value == UniPoly.one()
+
+
+def test_extension_singular_eta_matches_euclid_oracle():
+    # seeded r = 4-6 sections with two characters in their support; their
+    # discriminants carry repeated factors of degree >= 2 over which the
+    # residue-field gcds run
+    rng = rng_for("extension-eta")
+
+    def outcome(fn, f, p):
+        try:
+            return fn(f, p)
+        except SingularityNotRepresentableError:
+            return "not representable"
+
+    loci, points = 0, 0
+    while loci < 10:
+        r, d = rng.randint(4, 6), rng.randint(1, 2)
+        support = rng.sample(range(r), 2)
+        sec = section(r, d, {c: rand_binform(rng, d if c == 0 else d - 1, nonzero=True) for c in support})
+        form = spectral_curve(sec).annihilating
+        if form.degree < 2:
+            continue
+        f = form.dehomogenize(0)
+        _, factors = factor_rational(eta_discriminant(form).dehomogenize(0))
+        for p, mult in factors:
+            if mult >= 2 and p.degree() >= 2:
+                got = outcome(spectral._extension_singular_eta, f, p)
+                assert got == outcome(euclid_singular_eta, f, p), (r, d, sec.components, p)
+                loci += 1
+                points += isinstance(got, ExtElem)
+    assert points >= 5
 
 
 def test_singular_locus_unrepresentable_eta():

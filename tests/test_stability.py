@@ -167,14 +167,12 @@ def test_graded_degrees_concatenates():
 def test_conic_has_no_polynomial_roots():
     search = roots_of(conic(bf(1, [1, 1])))
     assert search.roots == ()
-    assert search.complete
     assert search.base is not None
 
 
 def test_pullback_root_is_the_scalar():
     sec = section(2, 1, {0: bf(1, [2, 3])})
     search = roots_of(sec)
-    assert search.complete
     assert search.roots == (up(2, 3),)
 
 
@@ -191,18 +189,19 @@ def test_identity_cover_root():
 def test_quartic_support_two_has_no_roots():
     search = roots_of(section(4, 2, {2: bf(1, [1, 2])}))
     assert search.roots == ()
-    assert search.complete
+    assert search.base is not None
 
 
-def test_all_bases_ramified_flags_incomplete():
-    # discriminant vanishes at every sampled base value w = 0, ±1, ..., ±9, 10
+def test_root_search_passes_twenty_ramified_bases():
+    # the discriminant vanishes at w = 0, ±1, ..., ±9, 10, the first twenty
+    # values of 0, 1, -1, 2, ...; the twenty-first, -10, is unramified
     vals = [0] + [s * k for k in range(1, 10) for s in (1, -1)] + [10]
     f = up(1)
     for v in vals:
         f = f * up(-v, 1)
     sec = conic(BinForm(20, list(f.coeffs)))
     search = roots_of(sec)
-    assert not search.complete
+    assert search.base == -10
     assert search.roots == ()
 
 
@@ -255,7 +254,6 @@ def test_search_rank_one_conic_is_empty():
     for m in (-2, 0, 3):
         res = subsheaves(SplitBundle([m]), conic(bf(1, [1, 1])))
         assert res.records == ()
-        assert res.complete
 
 
 def test_search_blocks_for_two_summands():
@@ -324,15 +322,18 @@ def test_gieseker_quartic_counterexample_is_undetermined():
     assert any("power" in note for note in v.notes)
 
 
-def test_gieseker_incomplete_search_is_undetermined():
+def test_gieseker_past_twenty_ramified_bases_is_stable():
+    # the eigenvalue search lifts its roots at w = -10 (see above), finds no
+    # polynomial branch, and the curve eta^2 = w f(w)^2 is integral
     vals = [0] + [s * k for k in range(1, 10) for s in (1, -1)] + [10]
     f = up(1)
     for v0 in vals:
         f = f * up(-v0, 1)
     sec = conic(BinForm(20, list(f.coeffs)))
-    v, _, _ = gieseker_verdict(SplitBundle([0]), sec, 1)
-    assert v.status == "undetermined"
-    assert any("incomplete" in note for note in v.notes)
+    v, search, integrality = gieseker_verdict(SplitBundle([0]), sec, 1)
+    assert search.records == ()
+    assert integrality.certified
+    assert (v.status, v.method, v.notes) == ("stable", "prop-stability", ())
 
 
 def test_unstable_witness_dominates_total():
