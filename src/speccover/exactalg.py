@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 import sympy
@@ -855,40 +857,6 @@ def resultant(f: EtaPoly, g: EtaPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# determinants of EtaPoly matrices
-
-def det_cofactor(mat: list[list[EtaPoly]]) -> EtaPoly:
-    """Cofactor expansion with memoization on column subsets."""
-    n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
-        raise ShapeError("determinant needs a nonempty square matrix")
-    cache: dict[tuple[int, int], EtaPoly] = {}
-
-    def minor(row: int, colmask: int) -> EtaPoly:
-        if row == n:
-            return EtaPoly.one()
-        key = (row, colmask)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        total = EtaPoly.zero()
-        pos = 0
-        for col in range(n):
-            if not (colmask >> col) & 1:
-                continue
-            entry = mat[row][col]
-            if not entry.is_zero():
-                sub = minor(row + 1, colmask & ~(1 << col))
-                term = entry * sub
-                total = total + (term if pos % 2 == 0 else -term)
-            pos += 1
-        cache[key] = total
-        return total
-
-    return minor(0, (1 << n) - 1)
-
-
-# ---------------------------------------------------------------------------
 # matrices over Q[w] and their characteristic / minimal polynomials
 
 
@@ -934,20 +902,78 @@ class PolyMatrix:
         return f"PolyMatrix({body})"
 
 
+def _berkowitz(m: list[list[int]]) -> list[int]:
+    """det(x * id - M) for an integer matrix M, coefficients descending.
+
+    Berkowitz's division-free algorithm: the characteristic polynomial of
+    the leading (k+1) x (k+1) block is the convolution of that of the
+    leading k x k block A with (1, -m_kk, -R C, -R A C, ..., -R A^(k-1) C),
+    where R and C are the new row and column outside the diagonal.
+    """
+    poly = [1]
+    for k in range(len(m)):
+        toeplitz = [1, -m[k][k]]
+        col = [m[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, m[k], col)))
+            col = [sum(map(mul, m[i], col)) for i in range(k)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return poly
+
+
+def _interpolate_int(values: Sequence[int]) -> list[int]:
+    """The integer polynomial of degree < len(values) taking values[x] at
+    x = 0, 1, ..., ascending coefficients.
+
+    The k-th forward difference at 0 of an integer polynomial is k! times an
+    integer (its coefficient in the falling-factorial basis); values that
+    break this come from no integer polynomial and raise.
+    """
+    diffs = list(values)
+    newton = []
+    for k in range(len(values)):
+        q, rem = divmod(diffs[0], factorial(k))
+        if rem:
+            raise InternalCheckError("interpolated values come from no integer polynomial")
+        newton.append(q)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    out: list[int] = []
+    for k in reversed(range(len(newton))):
+        # out <- out * (x - k) + newton[k]
+        shifted = [0] + out
+        for j, c in enumerate(out):
+            shifted[j] -= k * c
+        shifted[0] += newton[k]
+        out = shifted
+    return out
+
+
 def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
-    """det(eta * id - A), monic of degree n in eta."""
+    """det(eta * id - A), monic of degree n in eta.
+
+    With den the lcm of the coefficient denominators and e the largest entry
+    degree, B = den * A has entries in Z[w], and the coefficient of
+    eta^(n-i) in det(eta * id - B) has degree at most i * e in w.  So it is
+    interpolated exactly from the integer characteristic polynomials of
+    B(0), ..., B(i * e), and dividing it by den^i gives that of A.
+    """
     n = a.n
-    mat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = a.rows[i][j]
-            if i == j:
-                row.append(EtaPoly((-entry, UniPoly.one())))
-            else:
-                row.append(EtaPoly((-entry,)) if not entry.is_zero() else EtaPoly.zero())
-        mat.append(row)
-    out = det_cofactor(mat)
+    entries = [e for row in a.rows for e in row]
+    den = lcm(*(c.denominator for e in entries for c in e.coeffs))
+    deg = max(0, max(e.degree() for e in entries))
+    scaled = [[[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row] for row in a.rows]
+    samples = []
+    for x in range(n * deg + 1):
+        powers = [x**k for k in range(deg + 1)]
+        samples.append(_berkowitz([[sum(map(mul, cs, powers)) for cs in row] for row in scaled]))
+    coeffs = []
+    for i in range(n + 1):
+        ints = _interpolate_int([s[i] for s in samples[: i * deg + 1]])
+        coeffs.append(UniPoly(Fraction(c, den**i) for c in ints))
+    out = EtaPoly(reversed(coeffs))
     if out.degree() != n or out.lead != UniPoly.one():
         raise InternalCheckError("characteristic polynomial is not monic of the right degree")
     return out

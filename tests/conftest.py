@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from speccover.covers import AbelianGroup, CoverAlgebra, validate_algebra
 from speccover.exactalg import BinForm, EtaPoly, UniPoly
 
 F = Fraction
@@ -64,3 +65,13 @@ def char_poly_by_elimination(sec) -> EtaPoly:
         k = rho[0] if rho else 0
         g[k] = g[k] - EtaPoly.const(form.dehomogenize(0))
     return resultant_coeffs(f, g)
+
+
+def bidouble_cover() -> CoverAlgebra:
+    """Z/2 x Z/2 cover branched over s, t and s + t, given by explicit data."""
+    s, t = BinForm.s(), BinForm.t()
+    a, b, c = (1, 0), (0, 1), (1, 1)
+    forms = {(b, c): s, (a, c): t, (a, b): s + t, (a, a): t * (s + t), (b, b): s * (s + t), (c, c): s * t}
+    cover = CoverAlgebra(AbelianGroup((2, 2)), {a: 1, b: 1, c: 1}, forms)
+    assert validate_algebra(cover)
+    return cover

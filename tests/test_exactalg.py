@@ -11,13 +11,14 @@ from itertools import permutations
 import pytest
 import sympy
 
-from conftest import F, bf, ep, rand_binform, rand_unipoly, rng_for, up
+from conftest import F, bf, bidouble_cover, ep, rand_binform, rand_unipoly, rng_for, up
 from oracles import euclid_kpoly_gcd, poly_xgcd, sylvester_matrix, xgcd_inverse
 from speccover import exactalg
-from speccover.covers import SectionData, make_standard_cyclic, mult_matrix
+from speccover.covers import SectionData, make_cyclic_triple, make_double_cover, make_standard_cyclic, mult_matrix
 from speccover.errors import (
     DegreeError,
     InfiniteOrderError,
+    InternalCheckError,
     ModulusError,
     NotInvertibleError,
     ShapeError,
@@ -31,7 +32,6 @@ from speccover.exactalg import (
     ProjPoint,
     UniPoly,
     char_poly_matrix,
-    det_cofactor,
     eta_gcd,
     factor_rational,
     homogenize,
@@ -440,11 +440,7 @@ def test_det_paths_agree_random():
                 [EtaPoly([rand_unipoly(rng, 1) for _ in range(rng.randint(1, 2))]) for _ in range(size)]
                 for _ in range(size)
             ]
-            d_cof = det_cofactor(mat)
-            d_bar = det_bareiss(mat)
-            assert d_cof == d_bar
-            if size <= 4:
-                assert d_cof == det_by_permutations(mat)
+            assert det_bareiss(mat) == det_by_permutations(mat)
 
 
 def test_char_poly_identity_matrix():
@@ -482,15 +478,79 @@ def test_char_poly_triple_cover_shape():
     assert out == expected
 
 
+def _eta_minus(a):
+    """The matrix eta * id - A over Q[w][eta], for the determinant oracles."""
+    return [
+        [EtaPoly((-a.entry(i, j), UniPoly.one() if i == j else UniPoly.zero())) for j in range(a.n)]
+        for i in range(a.n)
+    ]
+
+
 def test_char_poly_methods_agree():
     rng = rng_for("charpoly")
     for size in (2, 3, 4, 7, 8):
         a = PolyMatrix([[rand_unipoly(rng, 1) for _ in range(size)] for _ in range(size)])
-        eta_minus_a = [
-            [EtaPoly((-a.entry(i, j), UniPoly.one() if i == j else UniPoly.zero())) for j in range(size)]
-            for i in range(size)
-        ]
-        assert char_poly_matrix(a) == det_bareiss(eta_minus_a)
+        assert char_poly_matrix(a) == det_bareiss(_eta_minus(a))
+
+
+def _rand_rational_unipoly(rng, deg):
+    """Degree exactly ``deg`` (-1 is zero), coefficients with denominators
+    among 1, 2, 3, 4, 5, 7 and 12."""
+    if deg < 0:
+        return UniPoly.zero()
+    cs = [F(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 5, 7, 12))) for _ in range(deg)]
+    return UniPoly(cs + [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 5)))])
+
+
+def _cover_matrices():
+    """mult_matrix on both charts for standard covers r = 2-8, a cyclic
+    triple, a branched double cover and an explicit Z/2 x Z/2 cover."""
+    rng = rng_for("charpoly-covers")
+    sections = []
+    for r in range(2, 9):
+        d = 1 if r > 5 else 2
+        comps = {k: rand_binform(rng, d if k == 0 else d - 1, nonzero=True) for k in range(r)}
+        sections.append(SectionData(make_standard_cyclic(r), d, comps))
+    triple = make_cyclic_triple(bf(1, [1, 2]), bf(1, [-1, 3]))
+    sections.append(SectionData(triple, 2, {0: bf(2, [1, 0, 1]), 1: bf(1, [2, -1]), 2: bf(1, [1, 1])}))
+    double = make_double_cover(bf(2, [-1, 0, 1]))
+    sections.append(SectionData(double, 2, {0: bf(2, [0, 1, 1]), 1: bf(1, [1, -2])}))
+    sections.append(
+        SectionData(bidouble_cover(), 2, {(0, 0): bf(2, [1, 0, -1]), (1, 0): bf(1, [1, 1]), (1, 1): bf(1, [2, -1])})
+    )
+    return [mult_matrix(sec, chart) for sec in sections for chart in (0, 1)]
+
+
+def test_char_poly_matches_bareiss_oracle():
+    rng = rng_for("charpoly-oracle")
+    mats = []
+    for n in range(1, 9):
+        for _ in range(2):
+            top = rng.randint(0, 6)
+            mats.append(PolyMatrix(
+                [[_rand_rational_unipoly(rng, rng.randint(-1, top)) for _ in range(n)] for _ in range(n)]
+            ))
+    # entry degree e <= 0: zero and constant matrices
+    mats.append(PolyMatrix([[UniPoly.zero()] * 3 for _ in range(3)]))
+    mats.append(PolyMatrix([[UniPoly.const(F(i - j, i + j + 1)) for j in range(4)] for i in range(4)]))
+    # w^3 + c_i on the diagonal: the eta^(5-i) coefficient has degree exactly 3i
+    diag = [UniPoly((F(k, 3), 0, 0, 1)) for k in (-2, -1, 1, 2, 4)]
+    diag_mat = PolyMatrix([[diag[i] if i == j else UniPoly.zero() for j in range(5)] for i in range(5)])
+    out = char_poly_matrix(diag_mat)
+    assert [out.coeff(5 - i).degree() for i in range(6)] == [0, 3, 6, 9, 12, 15]
+    mats.append(diag_mat)
+    mats.extend(_cover_matrices())
+    for a in mats:
+        assert char_poly_matrix(a) == det_bareiss(_eta_minus(a))
+
+
+def test_interpolate_int_exact_or_refused():
+    assert exactalg._interpolate_int([x**3 - 2 * x + 5 for x in range(4)]) == [5, -2, 0, 1]
+    assert exactalg._interpolate_int([7]) == [7]
+    assert exactalg._interpolate_int([]) == []
+    # x(x - 1)/2 takes integer values at integers but has no integer coefficients
+    with pytest.raises(InternalCheckError):
+        exactalg._interpolate_int([0, 0, 1])
 
 
 def test_char_poly_block_diagonal_multiplies():

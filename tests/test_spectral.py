@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import F, bf, char_poly_by_elimination, ep, rand_binform, rng_for, up
+from conftest import F, bf, bidouble_cover, char_poly_by_elimination, ep, rand_binform, rng_for, up
 from oracles import (
     NonDepressedCubicError,
     annihilating_by_matrix_powers,
@@ -15,14 +15,11 @@ from oracles import (
 )
 from speccover import exactalg, spectral
 from speccover.covers import (
-    AbelianGroup,
-    CoverAlgebra,
     SectionData,
     make_cyclic_triple,
     make_double_cover,
     make_standard_cyclic,
     mult_matrix,
-    validate_algebra,
 )
 from speccover.errors import (
     DegreeError,
@@ -179,16 +176,6 @@ def test_annihilating_generic_triple_is_char():
     sec = section(3, 2, {1: bf(1, [2, 1]), 2: bf(1, [1, -1])})
     char = invariant_sections(sec)
     assert annihilating_poly(sec, char).coeffs == char.char_form().coeffs
-
-
-def bidouble_cover() -> CoverAlgebra:
-    """Z/2 x Z/2 cover branched over s, t and s + t, given by explicit data."""
-    a, b, c = (1, 0), (0, 1), (1, 1)
-    da, db, dc = S, T, S + T
-    forms = {(b, c): da, (a, c): db, (a, b): dc, (a, a): db * dc, (b, b): da * dc, (c, c): da * db}
-    cover = CoverAlgebra(AbelianGroup((2, 2)), {a: 1, b: 1, c: 1}, forms)
-    assert validate_algebra(cover)
-    return cover
 
 
 def test_annihilating_matches_matrix_power_oracle():
