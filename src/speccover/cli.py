@@ -255,6 +255,8 @@ def _run_singular(job, chart):
     if chart == "auto" and r == 2 and is_standard_cyclic(sec.cover) and not sec.component(1).is_zero():
         branch = BinForm.s() * BinForm.t()
         predicted = double_cover_singularities(sec.component(0), sec.component(1), branch)
+        if [p.locus_key() for p in predicted] != [p.locus_key() for p in points]:
+            raise InternalCheckError("predicted singular set disagrees with the Jacobian search")
         results["double_cover_prediction"] = [sz.singular_point_to_json(p) for p in predicted]
     return results, []
 

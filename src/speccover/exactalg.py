@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -59,27 +59,151 @@ def _fmt_rat(c: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
+# dense polynomials over any exact commutative ring: coefficient lists and
+# the arithmetic UniPoly and EtaPoly share
 
 
-class UniPoly:
-    """Dense univariate polynomial over Q, coefficients ascending."""
+def _pl_trim(cs: list) -> list:
+    """Strip trailing zeros, in place, from a coefficient list over any ring
+    whose zero is falsy: int, Fraction, UniPoly, EtaPoly or ExtElem."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _pl_pseudo_rem(f: list, g: list) -> list:
+    """lc(g)^(deg f - deg g + 1) * f  mod  g (Cohen, GTM 138, §3.1), for
+    trimmed coefficient lists over a commutative exact ring with falsy zero."""
+    dg = len(g) - 1
+    lc = g[-1]
+    e = len(f) - 1 - dg + 1
+    rem = list(f)
+    steps = 0
+    while len(rem) - 1 >= dg and rem:
+        steps += 1
+        lead = rem[-1]
+        shift = len(rem) - 1 - dg
+        new = [c * lc for c in rem[:-1]]
+        for j in range(dg):
+            if g[j]:
+                new[shift + j] = new[shift + j] - lead * g[j]
+        rem = _pl_trim(new)
+    if steps < e and rem:
+        factor = lc
+        for _ in range(e - steps - 1):
+            factor = factor * lc
+        rem = [c * factor for c in rem]
+    return rem
+
+
+class _Poly:
+    """Dense polynomial, coefficients ascending, over the ring whose zero and
+    one are the subclass's ``_ZERO`` and ``_ONE``.
+
+    Subclasses coerce coefficients and strip trailing zeros in ``__init__``;
+    the other operand of mixed arithmetic may also be one of ``_SCALARS``,
+    taken as a constant.  A zero polynomial is falsy, as 0 is, so coefficient
+    lists over any of these rings trim and test alike.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):  # trailing zeros are stripped
-        cs = [as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
     @classmethod
-    def zero(cls) -> UniPoly:
+    def zero(cls):
         return cls(())
 
     @classmethod
-    def one(cls) -> UniPoly:
-        return cls((1,))
+    def one(cls):
+        return cls((cls._ONE,))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def degree(self) -> int:
+        """Degree, with the zero polynomial reported as -1."""
+        return len(self.coeffs) - 1
+
+    @property
+    def lead(self):
+        if not self.coeffs:
+            raise DegreeError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if not self.coeffs or not other.coeffs:
+            return self.zero()
+        out = [self._ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] = out[i + j] + a * b
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def derivative(self):
+        """Derivative in the polynomial's own variable."""
+        return type(self)([i * c for i, c in enumerate(self.coeffs) if i])
+
+    @classmethod
+    def _coerce(cls, other):
+        if isinstance(other, cls):
+            return other
+        if isinstance(other, cls._SCALARS):
+            return cls((other,))
+        raise TypeError(f"cannot combine {cls.__name__} with {other!r}")
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials over Q
+
+
+class UniPoly(_Poly):
+    """Dense univariate polynomial over Q, coefficients ascending."""
+
+    __slots__ = ()
+    _ZERO, _ONE = Fraction(0), Fraction(1)
+    _SCALARS = (int, Fraction)
+
+    def __init__(self, coeffs: Iterable = ()):  # trailing zeros are stripped
+        self.coeffs: tuple[Fraction, ...] = tuple(_pl_trim([as_rat(c) for c in coeffs]))
 
     @classmethod
     def const(cls, c) -> UniPoly:
@@ -88,19 +212,6 @@ class UniPoly:
     @classmethod
     def x(cls) -> UniPoly:
         return cls((0, 1))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            raise DegreeError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -111,58 +222,6 @@ class UniPoly:
 
     def __hash__(self):
         return hash(("UniPoly", self.coeffs))
-
-    def __add__(self, other) -> UniPoly:
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UniPoly(a)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> UniPoly:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> UniPoly:
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> UniPoly:
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> UniPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    @staticmethod
-    def _coerce(other) -> UniPoly:
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly.const(other)
-        raise TypeError(f"cannot combine UniPoly with {other!r}")
 
     def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
         if other.is_zero():
@@ -195,9 +254,6 @@ class UniPoly:
             return self
         inv = 1 / self.lead
         return UniPoly(tuple(c * inv for c in self.coeffs))
-
-    def derivative(self) -> UniPoly:
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def evaluate(self, x) -> Fraction:
         x = as_rat(x)
@@ -247,9 +303,18 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r})"
 
 
-def _int_primitive(coeffs: list) -> list:
-    from math import gcd
+class _ZPoly(_Poly):
+    """Dense polynomial over Z, where Fraction arithmetic would be slow."""
 
+    __slots__ = ()
+    _ZERO, _ONE = 0, 1
+    _SCALARS = (int,)
+
+    def __init__(self, coeffs: Iterable = ()):
+        self.coeffs: tuple[int, ...] = tuple(_pl_trim(list(coeffs)))
+
+
+def _int_primitive(coeffs: list) -> list:
     g = 0
     for c in coeffs:
         g = gcd(g, c)
@@ -259,29 +324,10 @@ def _int_primitive(coeffs: list) -> list:
 
 
 def _to_int_poly(p: UniPoly) -> list:
-    from math import lcm
-
     den = 1
     for c in p.coeffs:
         den = lcm(den, c.denominator)
     return _int_primitive([int(c * den) for c in p.coeffs])
-
-
-def _int_prem(f: list, g: list) -> list:
-    """Pseudo-remainder of trimmed integer coefficient lists, up to units."""
-    dg = len(g) - 1
-    lc = g[-1]
-    rem = list(f)
-    while True:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem or len(rem) - 1 < dg:
-            return rem
-        lead = rem[-1]
-        shift = len(rem) - 1 - dg
-        rem = [c * lc for c in rem[:-1]]
-        for j in range(dg):
-            rem[shift + j] -= lead * g[j]
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -297,13 +343,12 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     fa, fb = _to_int_poly(a), _to_int_poly(b)
     if len(fa) < len(fb):
         fa, fb = fb, fa
-    while True:
-        if len(fb) == 1:
-            return UniPoly.one()
-        rem = _int_prem(fa, fb)
+    while len(fb) > 1:
+        rem = _pl_pseudo_rem(fa, fb)
         if not rem:
             return UniPoly(fb).monic()
         fa, fb = fb, _int_primitive(rem)
+    return UniPoly.one()
 
 
 _SYMPY_W = sympy.Symbol("w")
@@ -371,8 +416,6 @@ class ProjPoint:
         a, b = as_rat(a), as_rat(b)
         if a == 0 and b == 0:
             raise InvalidPointError("[0:0] is not a projective point")
-        from math import gcd, lcm
-
         scale = lcm(a.denominator, b.denominator)
         ia, ib = int(a * scale), int(b * scale)
         g = gcd(ia, ib)
@@ -563,29 +606,16 @@ def vanishing_order(form: BinForm, point: ProjPoint) -> int:
 # polynomials in eta over Q[w]
 
 
-class EtaPoly:
+class EtaPoly(_Poly):
     """Polynomial in the fiber coordinate with UniPoly coefficients, ascending."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _ZERO, _ONE = UniPoly.zero(), UniPoly.one()
+    _SCALARS = (UniPoly, int, Fraction)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, UniPoly):
-                cs.append(c)
-            else:
-                cs.append(UniPoly.const(as_rat(c)))
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs: tuple[UniPoly, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> EtaPoly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> EtaPoly:
-        return cls((UniPoly.one(),))
+        cs = [c if isinstance(c, UniPoly) else UniPoly.const(c) for c in coeffs]
+        self.coeffs: tuple[UniPoly, ...] = tuple(_pl_trim(cs))
 
     @classmethod
     def const(cls, p) -> EtaPoly:
@@ -597,18 +627,6 @@ class EtaPoly:
     def eta(cls) -> EtaPoly:
         return cls((UniPoly.zero(), UniPoly.one()))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> UniPoly:
-        if not self.coeffs:
-            raise DegreeError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coeff(self, j: int) -> UniPoly:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else UniPoly.zero()
 
@@ -619,56 +637,6 @@ class EtaPoly:
 
     def __hash__(self):
         return hash(("EtaPoly", self.coeffs))
-
-    @staticmethod
-    def _coerce(other) -> EtaPoly:
-        if isinstance(other, EtaPoly):
-            return other
-        if isinstance(other, (UniPoly, int, Fraction)):
-            return EtaPoly.const(other)
-        raise TypeError(f"cannot combine EtaPoly with {other!r}")
-
-    def __add__(self, other) -> EtaPoly:
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.coeff(i) + other.coeff(i) for i in range(n)]
-        return EtaPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> EtaPoly:
-        return EtaPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> EtaPoly:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> EtaPoly:
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> EtaPoly:
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return EtaPoly.zero()
-        out = [UniPoly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return EtaPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> EtaPoly:
-        if n < 0:
-            raise ValueError("negative power")
-        out = EtaPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def exact_div(self, other: EtaPoly) -> EtaPoly:
         """Exact division in Q[w][eta]; raises DegreeError if not divisible."""
@@ -690,10 +658,6 @@ class EtaPoly:
         if any(not r.is_zero() for r in rem[: other.degree()]):
             raise DegreeError("inexact division: nonzero remainder")
         return EtaPoly(quo)
-
-    def deta(self) -> EtaPoly:
-        """Derivative with respect to eta."""
-        return EtaPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def dw(self) -> EtaPoly:
         """Derivative of every coefficient with respect to the base variable."""
@@ -756,36 +720,6 @@ class EtaPoly:
 # ---------------------------------------------------------------------------
 # resultants (subresultant pseudo-remainder sequence over any exact ring;
 # every intermediate division is exact)
-
-
-def _pl_trim(cs: list) -> list:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _pl_pseudo_rem(f: list, g: list) -> list:
-    """lc(g)^(deg f - deg g + 1) * f  mod  g, over a commutative exact ring."""
-    dg = len(g) - 1
-    lc = g[-1]
-    e = len(f) - 1 - dg + 1
-    rem = list(f)
-    steps = 0
-    while len(rem) - 1 >= dg and rem:
-        steps += 1
-        lead = rem[-1]
-        shift = len(rem) - 1 - dg
-        new = [c * lc for c in rem[:-1]]
-        for j in range(dg):
-            if not g[j].is_zero():
-                new[shift + j] = new[shift + j] - lead * g[j]
-        rem = _pl_trim(new)
-    if steps < e and rem:
-        factor = lc
-        for _ in range(e - steps - 1):
-            factor = factor * lc
-        rem = [c * factor for c in rem]
-    return rem
 
 
 def _subresultant_prs(f: list, g: list):
@@ -1021,7 +955,7 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> EtaPoly:
     """Squarefree part of ``char``, the characteristic polynomial of ``a``,
     checked to annihilate the matrix with ``annihilates_unit`` (whose premise
     on ``a`` it inherits)."""
-    g = eta_gcd(char, char.deta())
+    g = eta_gcd(char, char.derivative())
     if g.degree() == 0:
         minimal = char
     else:
@@ -1063,6 +997,9 @@ class ExtElem:
     def is_zero(self) -> bool:
         return self.value.is_zero()
 
+    def __bool__(self) -> bool:
+        return bool(self.value)
+
     def __add__(self, other) -> ExtElem:
         other = self._coerce(other)
         self._check(other)
@@ -1103,8 +1040,6 @@ class ExtElem:
         denominator; solving it for the unit vector e_0 gives the inverse.
         A missing pivot means a singular system, i.e. a zero divisor.
         """
-        from math import lcm
-
         if self.is_zero():
             raise NotInvertibleError("zero is not invertible")
         p = self.modulus.coeffs
@@ -1159,33 +1094,8 @@ def reduce_mod(p: UniPoly, modulus: UniPoly) -> ExtElem:
 # polynomials in eta over a residue field K = Q[w]/(p): plain lists of ExtElem
 
 
-def kpoly_trim(cs: list[ExtElem]) -> list[ExtElem]:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
 def kpoly_from_etapoly(f: EtaPoly, modulus: UniPoly) -> list[ExtElem]:
-    return kpoly_trim([reduce_mod(c, modulus) for c in f.coeffs])
-
-
-def kpoly_divmod(a: list[ExtElem], b: list[ExtElem]) -> tuple[list[ExtElem], list[ExtElem]]:
-    """Long division in K[eta]; the divisor must have invertible lead."""
-    a = list(a)
-    inv_lead = b[-1].inv()
-    zero = ExtElem(b[-1].modulus, UniPoly.zero())
-    quot = [zero] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        if a[-1].value.is_zero():
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = a[-1] * inv_lead
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * c
-        a.pop()
-    return kpoly_trim(quot), kpoly_trim(a)
+    return _pl_trim([reduce_mod(c, modulus) for c in f.coeffs])
 
 
 def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
@@ -1194,10 +1104,26 @@ def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
     Runs a pseudo-remainder sequence, which needs no inverse, and inverts
     once at the end to make the result monic.
     """
-    a, b = kpoly_trim(list(a)), kpoly_trim(list(b))
+    a, b = _pl_trim(list(a)), _pl_trim(list(b))
     while b:
         a, b = b, _pl_pseudo_rem(a, b)
     if a:
         la = a[-1].inv()
         a = [c * la for c in a]
     return a
+
+
+def vanishes_at(f: EtaPoly, x: ExtElem) -> bool:
+    """Whether f(w, x) = 0 in K = Q[w]/(p), for f in Q[w][eta] of degree n.
+
+    With x = a/d, a in Z[w], and D f in Z[w][eta], Horner's rule over Z[w]
+    gives H = D d^n f(x) unreduced, and f(x) = 0 exactly when p divides H.
+    Integers make this several times cheaper than Horner's rule in K.
+    """
+    d = lcm(*(c.denominator for c in x.value.coeffs))
+    a = _ZPoly(c.numerator * (d // c.denominator) for c in x.value.coeffs)
+    den = lcm(*(c.denominator for p in f.coeffs for c in p.coeffs))
+    acc = _ZPoly()
+    for i, p in enumerate(reversed(f.coeffs)):
+        acc = acc * a + _ZPoly(c.numerator * (den // c.denominator) * d**i for c in p.coeffs)
+    return not _pl_pseudo_rem(list(acc.coeffs), _to_int_poly(x.modulus))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .covers import SectionData, is_standard_cyclic, make_standard_cyclic
 from .errors import InternalCheckError, UnsupportedCoverError
-from .spectral import SpectralCurve, squarefree_fibre_base
+from .spectral import SpectralCurve
 
 PULLBACK = "pullback"
 BIRATIONAL = "birational"
@@ -104,7 +104,9 @@ def birationality_verdict(
 ) -> BirationalityVerdict:
     """Classify the induced map from the source onto the curve.
 
-    ``report`` is ``intermediate_factorization(sec, curve)``.
+    ``report`` is ``intermediate_factorization(sec, curve)``; a birational
+    verdict cites the curve's witness base, where the fiber values are
+    distinct.
     """
     if report.verdict == PULLBACK:
         if report.tau.is_zero():
@@ -113,8 +115,7 @@ def birationality_verdict(
             note = "multiplication acts as the scalar h_0"
         return BirationalityVerdict(PULLBACK, note, tau=report.tau)
     if report.verdict == BIRATIONAL:
-        form = curve.annihilating
-        base = squarefree_fibre_base(form.dehomogenize(0), form.twist)
+        base = curve.witness_base
         return BirationalityVerdict(
             BIRATIONAL,
             f"support gcd is 1; fiber values are distinct over w = {base}",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .covers import SectionData, make_double_cover, mult_matrix
+from .covers import SectionData, mult_matrix
 from .errors import (
     DegreeError,
     InternalCheckError,
@@ -32,15 +32,14 @@ from .exactalg import (
     char_poly_matrix,
     factor_rational,
     homogenize,
-    kpoly_divmod,
     kpoly_from_etapoly,
     kpoly_gcd,
-    kpoly_trim,
     min_poly_matrix,
     poly_gcd,
     rational_roots,
     reduce_mod,
     resultant,
+    vanishes_at,
     vanishing_order,
 )
 
@@ -187,12 +186,15 @@ class SpectralCurve:
     """Curve data: characteristic polynomial plus its reduced part.
 
     ``integral`` means certified integral; False is "not certified", not a
-    proof of reducibility.
+    proof of reducibility.  ``witness_base`` is the base value
+    ``squarefree_fibre_base`` found for the reduced part, which
+    ``spectral_curve`` sets; curves assembled by hand leave it None.
     """
 
     char: CharData
     annihilating: EtaForm
     integral: bool = False
+    witness_base: Fraction = None
 
 
 @dataclass(frozen=True)
@@ -300,8 +302,8 @@ def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
     """Reduced (squarefree) part of the characteristic polynomial.
 
     ``char`` is ``invariant_sections(sec)``.  The squarefree part m is taken
-    once, on chart 0, and certified squarefree at one base value; with the
-    check char = m^k in ``spectral_curve`` that proves m = sqfree(char).
+    once, on chart 0; ``spectral_curve`` certifies it squarefree at one base
+    value and checks char = m^k, which together prove m = sqfree(char).
     m(sigma) = 0 is checked in the cover algebra on both charts, as m(M) e_0
     = 0 by ``annihilates_unit``.  This is as strong as m(M) = 0, because
     ``mult_matrix`` is the regular representation of a commutative,
@@ -312,22 +314,24 @@ def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
     d = sec.twist_degree
     minimal = min_poly_matrix(mult_matrix(sec, 0), char.char_form().dehomogenize(0))
     form = _homogenized_eta(minimal, d, 0, "annihilating polynomial")
-    squarefree_fibre_base(minimal, d)
     if not annihilates_unit(mult_matrix(sec, 1), form.dehomogenize(1)):
         raise InternalCheckError("annihilating polynomial fails to annihilate on chart 1")
     return form
 
 
 def spectral_curve(sec: SectionData) -> SpectralCurve:
-    """Bundle the characteristic data with its reduced part.
+    """Bundle the characteristic data with its reduced part m.
 
-    Rank-1 input always gives the graph of a section, which is integral;
-    otherwise the integrality flag starts out uncertified.
+    Two checks prove m = sqfree(char): m is squarefree at the witness base
+    value, and char = m^k.  Rank-1 input always gives the graph of a
+    section, which is integral; otherwise the integrality flag starts out
+    uncertified.
     """
     char = invariant_sections(sec)
     annih = annihilating_poly(sec, char)
     quotient = char.char_form().dehomogenize(0)
     reduced = annih.dehomogenize(0)
+    base = squarefree_fibre_base(reduced, annih.twist)
     try:
         while quotient.degree() > 0:
             quotient = quotient.exact_div(reduced)
@@ -335,7 +339,7 @@ def spectral_curve(sec: SectionData) -> SpectralCurve:
         raise InternalCheckError("annihilating polynomial does not divide f")
     if quotient != EtaPoly.one():
         raise InternalCheckError("annihilating polynomial does not divide f")
-    return SpectralCurve(char, annih, integral=(char.rank == 1))
+    return SpectralCurve(char, annih, integral=(char.rank == 1), witness_base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +359,7 @@ def eta_discriminant(form: EtaForm) -> BinForm:
     out = []
     for chart in (0, 1):
         f = form.dehomogenize(chart)
-        res = resultant(f, f.deta())
+        res = resultant(f, f.derivative())
         try:
             out.append(homogenize(res, target, chart))
         except DegreeError as exc:
@@ -398,13 +402,9 @@ def depressed_cubic_parts(form: EtaForm):
 # singular locus
 
 
-def _kpoly_derivative(a: list) -> list:
-    return kpoly_trim([a[j] * j for j in range(1, len(a))])
-
-
 def _rational_singular_etas(f: EtaPoly, w0: Fraction) -> list:
     """Exact eta values where the curve is singular above a rational w0."""
-    at = poly_gcd(f.at_base(w0), f.deta().at_base(w0))
+    at = poly_gcd(f.at_base(w0), f.derivative().at_base(w0))
     at = poly_gcd(at, f.dw().at_base(w0))
     if at.degree() <= 0:
         return []
@@ -417,29 +417,29 @@ def _rational_singular_etas(f: EtaPoly, w0: Fraction) -> list:
 
 
 def _extension_singular_eta(f: EtaPoly, p: UniPoly):
-    """Eta value (in the residue field of p) where the curve is singular.
+    """Eta value (in the residue field K of p) where the curve is singular.
 
-    Returns None when the Jacobian refutes the candidate.  Only a single
-    residue-field value can be represented; genuinely split singular fibers
-    over one conjugacy class raise instead of guessing.
+    Returns None when the Jacobian refutes the candidate.  g = gcd(f, f_eta,
+    f_w) in K[eta] is monic, of degree k say.  Only one singular value can
+    be represented: g = (eta - eta0)^k, the case deg gcd(g, g') = k - 1,
+    where eta0 = -g_(k-1) / k.  Split singular fibers over one conjugacy
+    class raise instead of guessing.  f, f_eta and f_w are checked to vanish
+    at eta0 in K.
     """
-    fk = kpoly_from_etapoly(f, p)
-    dk = kpoly_from_etapoly(f.deta(), p)
-    wk = kpoly_from_etapoly(f.dw(), p)
+    polys = (f, f.derivative(), f.dw())
+    fk, dk, wk = (kpoly_from_etapoly(h, p) for h in polys)
     g = kpoly_gcd(kpoly_gcd(fk, dk), wk)
-    if len(g) <= 1:
+    k = len(g) - 1
+    if k < 1:
         return None
-    if len(g) > 2:
-        h = kpoly_gcd(g, _kpoly_derivative(g))
-        if len(h) > 1:
-            g, rem = kpoly_divmod(g, h)
-            if rem:
-                raise InternalCheckError("squarefree reduction left a remainder")
-    if len(g) != 2:
+    if k > 1 and len(kpoly_gcd(g, [c * j for j, c in enumerate(g) if j])) != k:
         raise SingularityNotRepresentableError(
             f"several singular eta values over the divisor {p.str_in('w')} = 0"
         )
-    return -g[0]  # g = eta - eta0 is monic
+    eta0 = -g[k - 1] * Fraction(1, k)
+    if not all(vanishes_at(h, eta0) for h in polys):
+        raise InternalCheckError("singular eta value is not a root of f, f_eta and f_w")
+    return eta0
 
 
 def singular_locus(curve: SpectralCurve) -> list:
@@ -489,8 +489,9 @@ def singular_locus(curve: SpectralCurve) -> list:
 def double_cover_singularities(f: BinForm, g: BinForm, branch: BinForm) -> list:
     """Predicted singular set of (eta - f)^2 - branch * g^2.
 
-    The points are the zeros of g, each at height eta = f; the prediction is
-    cross-checked against the Jacobian search before being returned.
+    The points are the zeros of g, each at height eta = f, in the order of
+    ``SingularPoint.locus_key``, so the list compares directly with the
+    ``singular_locus`` of the same curve.
     """
     if g.is_zero():
         raise PullbackSectionError("g = 0 gives a scalar field; nothing to predict")
@@ -527,15 +528,6 @@ def double_cover_singularities(f: BinForm, g: BinForm, branch: BinForm) -> list:
                     SingularPoint(0, modulus=p, eta=eta, certificate="prop-gen-double")
                 )
     predicted.sort(key=lambda sp: sp.locus_key())
-
-    d = f.degree
-    cover = make_double_cover(branch)
-    sec = SectionData(cover, d, {0: f, 1: g})
-    certified = singular_locus(spectral_curve(sec))
-    if [sp.locus_key() for sp in certified] != [sp.locus_key() for sp in predicted]:
-        raise InternalCheckError(
-            "predicted singular set disagrees with the Jacobian search"
-        )
     return predicted
 
 

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedCoverError,
 )
 from .exactalg import EtaPoly, PolyMatrix, UniPoly, as_rat, poly_gcd, rational_roots
-from .spectral import EtaForm, SpectralCurve, spectral_curve, squarefree_fibre_base
+from .spectral import SpectralCurve, spectral_curve
 
 STABLE = "stable"
 SEMISTABLE = "strictly-semistable"
@@ -96,29 +96,26 @@ def _require_standard(sec: SectionData) -> int:
     return sec.cover.degree
 
 
-def higgs_block_matrix(sec: SectionData, a: int, chart: int = 0) -> PolyMatrix:
+def higgs_block_matrix(sec: SectionData, a: int) -> PolyMatrix:
     """Matrix of multiplication by the section on the pushforward of O(a).
 
     Rows and columns are indexed by residue classes; the entry into class
     (k + j) from class k carries the class-j component times the monomial
-    that rebalances the two graded generators.
+    that rebalances the two graded generators.  On chart 0 that monomial is
+    w when k + j wraps past r and 1 otherwise, whatever a is.
     """
     r = _require_standard(sec)
-    if chart not in (0, 1):
-        raise DegreeError(f"chart must be 0 or 1, got {chart}")
     w = UniPoly((0, 1))
     rows = [[UniPoly.zero() for _ in range(r)] for _ in range(r)]
     for rho, form in sec.components.items():
         j = rho[0] if rho else 0
-        h = form.dehomogenize(chart)
+        h = form.dehomogenize(0)
         for k in range(r):
             if j == 0:
                 rows[k][k] = rows[k][k] + h
                 continue
             carry = 1 if k + j >= r else 0
-            drop = 1 if (a - k) % r < j else 0
-            power = carry if chart == 0 else 1 - drop
-            rows[(k + j) % r][k] = rows[(k + j) % r][k] + h * w**power
+            rows[(k + j) % r][k] = rows[(k + j) % r][k] + h * w**carry
     return PolyMatrix(rows)
 
 
@@ -152,7 +149,7 @@ def _series_inv(u: UniPoly, n: int) -> UniPoly:
 def _lift_series_root(shifted, eta0: Fraction, order: int) -> UniPoly:
     """Newton lifting of a simple root of an eta-polynomial over power series."""
     lam = UniPoly.const(eta0)
-    deriv = shifted.deta()
+    deriv = shifted.derivative()
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
@@ -176,20 +173,21 @@ class RootSearch:
     base: Fraction = None
 
 
-def polynomial_eta_roots(sec: SectionData, form: EtaForm) -> RootSearch:
+def polynomial_eta_roots(sec: SectionData, curve: SpectralCurve) -> RootSearch:
     """All roots of the reduced curve equation that are polynomial in the base.
 
-    ``form`` is the annihilating polynomial of ``sec``.  A polynomial branch
-    takes a rational value at any rational base point, so lifting every
-    rational fiber root at one unramified base value and then verifying the
-    truncations by exact substitution is exhaustive.
+    ``curve`` is ``spectral_curve(sec)``.  A polynomial branch takes a
+    rational value at any rational base point, so lifting every rational
+    fiber root at the curve's witness base, where the fiber is squarefree,
+    and then verifying the truncations by exact substitution is exhaustive.
     """
     r = _require_standard(sec)
     d = sec.twist_degree
+    form = curve.annihilating
     f = form.dehomogenize(0)
     if form.degree == 1:
         return RootSearch((UniPoly.zero() - f.coeff(0),))
-    base = squarefree_fibre_base(f, d)
+    base = curve.witness_base
     order = 2 * r * d + 1
     shifted = EtaPoly(tuple(c.shift(base) for c in f.coeffs))
     roots = []
@@ -344,7 +342,7 @@ def invariant_subsheaf_search(
         candidates = []
         offset = 0
         for a in m_degrees.degrees:
-            block = higgs_block_matrix(sec, a, 0)
+            block = higgs_block_matrix(sec, a)
             block_degs = pushforward_line_bundle(r, a).degrees
             shifted_rows = [
                 [
@@ -447,7 +445,7 @@ def gieseker_verdict(
     """
     r = _require_standard(sec)
     curve = spectral_curve(sec)
-    roots = polynomial_eta_roots(sec, curve.annihilating)
+    roots = polynomial_eta_roots(sec, curve)
     search = invariant_subsheaf_search(m_degrees, sec, roots, ample_degree)
     integrality = certify_integrality(sec, curve, roots)
     total = _total_poly(m_degrees, r, ample_degree)

@@ -29,9 +29,9 @@ from speccover.exactalg import (
     ExtElem,
     ProjPoint,
     UniPoly,
+    _pl_trim,
     eta_gcd,
     kpoly_from_etapoly,
-    kpoly_trim,
     reduce_mod,
 )
 from speccover.spectral import CharData, EtaForm, SingularPoint, invariant_sections
@@ -187,7 +187,7 @@ def annihilating_by_matrix_powers(sec: SectionData, char: CharData) -> EtaForm:
     forms = []
     for chart in (0, 1):
         cp = char.char_form().dehomogenize(chart)
-        g = eta_gcd(cp, cp.deta())
+        g = eta_gcd(cp, cp.derivative())
         minimal = cp if g.degree() == 0 else (cp * g.lead).exact_div(g)
         if minimal.lead != UniPoly.one():
             raise InternalCheckError("minimal polynomial came out non-monic")
@@ -249,12 +249,12 @@ def _euclid_divmod(a: list, b: list) -> tuple[list, list]:
             for i, c in enumerate(b):
                 a[shift + i] = a[shift + i] - factor * c
         a.pop()
-    return kpoly_trim(quot), kpoly_trim(a)
+    return _pl_trim(quot), _pl_trim(a)
 
 
 def euclid_kpoly_gcd(a: list, b: list) -> list:
     """Monic gcd over Q[w]/(p) by monic Euclid, inverting every divisor's lead."""
-    a, b = kpoly_trim(list(a)), kpoly_trim(list(b))
+    a, b = _pl_trim(list(a)), _pl_trim(list(b))
     while b:
         a, b = b, _euclid_divmod(a, b)[1]
     if a:
@@ -267,13 +267,13 @@ def euclid_singular_eta(f: EtaPoly, p: UniPoly):
     """``spectral._extension_singular_eta`` on the Euclid gcd and the Bezout
     inverse: the singular eta value over the residue field of p, or None."""
     fk = kpoly_from_etapoly(f, p)
-    dk = kpoly_from_etapoly(f.deta(), p)
+    dk = kpoly_from_etapoly(f.derivative(), p)
     wk = kpoly_from_etapoly(f.dw(), p)
     g = euclid_kpoly_gcd(euclid_kpoly_gcd(fk, dk), wk)
     if len(g) <= 1:
         return None
     if len(g) > 2:
-        deriv = kpoly_trim([g[j] * j for j in range(1, len(g))])
+        deriv = _pl_trim([g[j] * j for j in range(1, len(g))])
         h = euclid_kpoly_gcd(g, deriv)
         if len(h) > 1:
             g, rem = _euclid_divmod(g, h)

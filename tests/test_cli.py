@@ -405,15 +405,17 @@ def test_stability_warns_when_not_certified(tmp_path, capsys):
     assert any("integrality not certified" in w for w in doc["warnings"])
 
 
+DOUBLE_COVER_SINGULAR_JOB = {
+    "command": "singular",
+    "cover": {"r": 2},
+    "twist_degree": 2,
+    "section": {"0": {"degree": 2, "coeffs": [1, 1, 1]},
+                "1": {"degree": 1, "coeffs": [-1, 1]}},
+}
+
+
 def test_singular_reports_prediction_for_double_cover(tmp_path, capsys):
-    job = {
-        "command": "singular",
-        "cover": {"r": 2},
-        "twist_degree": 2,
-        "section": {"0": {"degree": 2, "coeffs": [1, 1, 1]},
-                    "1": {"degree": 1, "coeffs": [-1, 1]}},
-    }
-    path = write_job(tmp_path, job)
+    path = write_job(tmp_path, DOUBLE_COVER_SINGULAR_JOB)
     assert cli.main(["singular", "--input", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     points = doc["results"]["points"]
@@ -444,7 +446,8 @@ def curve_jobs():
 
 def test_each_curve_job_computes_two_characteristic_polynomials(monkeypatch):
     # one per chart: every command builds its spectral curve once and passes
-    # the characteristic data down instead of recomputing it
+    # the characteristic data down instead of recomputing it; the r = 2
+    # singular job checks its closed-form prediction against that same curve
     from speccover import exactalg, spectral
 
     original = exactalg.char_poly_matrix
@@ -460,6 +463,9 @@ def test_each_curve_job_computes_two_characteristic_polynomials(monkeypatch):
         calls.clear()
         cli.run_job(job)
         assert calls == [3, 3], job["command"]
+    calls.clear()
+    assert "double_cover_prediction" in cli.run_job(DOUBLE_COVER_SINGULAR_JOB)["results"]
+    assert calls == [2, 2]
 
 
 def test_each_curve_job_takes_one_squarefree_part(monkeypatch):
@@ -474,6 +480,28 @@ def test_each_curve_job_takes_one_squarefree_part(monkeypatch):
         return original(f, g)
 
     monkeypatch.setattr(exactalg, "eta_gcd", counted)
+    for job in curve_jobs():
+        calls.clear()
+        cli.run_job(job)
+        assert calls == [3], job["command"]
+
+
+def test_each_curve_job_finds_one_witness_base(monkeypatch):
+    # spectral_curve certifies the reduced part squarefree at one base value
+    # and keeps that value; the birationality verdict and the eigenvalue
+    # search read it off the curve instead of searching again
+    from speccover import spectral
+
+    original = spectral.squarefree_fibre_base
+    calls = []
+
+    def counted(f, twist):
+        calls.append(f.degree())
+        return original(f, twist)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("speccover") and getattr(module, "squarefree_fibre_base", None) is original:
+            monkeypatch.setattr(module, "squarefree_fibre_base", counted)
     for job in curve_jobs():
         calls.clear()
         cli.run_job(job)

@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from conftest import F, bf, bidouble_cover, ep, rand_binform, rand_unipoly, rng_for, up
-from oracles import euclid_kpoly_gcd, poly_xgcd, sylvester_matrix, xgcd_inverse
+from oracles import _euclid_divmod, euclid_kpoly_gcd, poly_xgcd, sylvester_matrix, xgcd_inverse
 from speccover import exactalg
 from speccover.covers import SectionData, make_cyclic_triple, make_double_cover, make_standard_cyclic, mult_matrix
 from speccover.errors import (
@@ -244,7 +244,7 @@ def test_resultant_quadratic_vs_hand_sylvester():
     # whose cofactor expansion along the first row gives 0 - 0 + c*4 = 4c.
     c = up(0, 1)
     f = ep(c, 0, 1)
-    fp = f.deta()
+    fp = f.derivative()
     assert resultant(f, fp) == UniPoly.const(4) * c
     mat = sylvester_matrix(list(f.coeffs), list(fp.coeffs))
     mat = [[e if isinstance(e, EtaPoly) else EtaPoly.const(e) for e in row] for row in mat]
@@ -603,7 +603,7 @@ def test_min_poly_squarefree_and_divides_char():
         # divides
         char.exact_div(minimal)
         # squarefree: gcd with derivative is constant
-        assert eta_gcd(minimal, minimal.deta()).degree() == 0
+        assert eta_gcd(minimal, minimal.derivative()).degree() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +697,7 @@ def _kpoly_mul(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
-    return exactalg.kpoly_trim(out)
+    return exactalg._pl_trim(out)
 
 
 def test_kpoly_gcd():
@@ -705,7 +705,7 @@ def test_kpoly_gcd():
     # over K = Q[w]/(w^2+1): gcd of (eta - w)(eta + 1) and (eta - w) is eta - w
     w = reduce_mod(UniPoly.x(), mod)
     one = reduce_mod(UniPoly.one(), mod)
-    a = exactalg.kpoly_trim([-w, one])  # eta - w
+    a = exactalg._pl_trim([-w, one])  # eta - w
     b = [-w, one - w, one]  # (eta - w)(eta + 1) = eta^2 + (1-w)eta - w
     g = exactalg.kpoly_gcd(b, a)
     assert len(g) == 2 and g[1].value == UniPoly.one()
@@ -723,7 +723,7 @@ def test_kpoly_gcd_matches_euclid_oracle():
                 break
 
         def kpoly(n):
-            return exactalg.kpoly_trim([_rand_elem(rng, mod) for _ in range(n)])
+            return exactalg._pl_trim([_rand_elem(rng, mod) for _ in range(n)])
 
         for _ in range(3):
             c, u, v = kpoly(rng.randint(2, 3)), kpoly(rng.randint(1, 3)), kpoly(rng.randint(1, 3))
@@ -736,39 +736,12 @@ def test_kpoly_gcd_matches_euclid_oracle():
             assert got == euclid_kpoly_gcd(a, b)
             assert got == exactalg.kpoly_gcd(b, a)
             assert got[-1].value == UniPoly.one()
-            assert exactalg.kpoly_divmod(got, c)[1] == []
-            assert exactalg.kpoly_divmod(a, got)[1] == [] and exactalg.kpoly_divmod(b, got)[1] == []
+            assert _euclid_divmod(got, c)[1] == []
+            assert _euclid_divmod(a, got)[1] == [] and _euclid_divmod(b, got)[1] == []
         # a zero or constant second argument
         a = kpoly(3)
         assert exactalg.kpoly_gcd(a, []) == euclid_kpoly_gcd(a, [])
         assert exactalg.kpoly_gcd(a, a[:1]) == euclid_kpoly_gcd(a, a[:1])
-
-
-def test_kpoly_divmod():
-    mod = up(1, 0, 1)  # K = Q[w]/(w^2 + 1)
-    rng = rng_for("kpoly-divmod")
-
-    def kpoly(n):
-        return exactalg.kpoly_trim([reduce_mod(rand_unipoly(rng, 1), mod) for _ in range(n)])
-
-    def add(a, b):
-        n = max(len(a), len(b))
-        zero = reduce_mod(UniPoly.zero(), mod)
-        a, b = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
-        return exactalg.kpoly_trim([x + y for x, y in zip(a, b)])
-
-    zero_remainders = 0
-    for k in range(40):
-        b = kpoly(rng.randint(1, 3))
-        if not b:
-            continue
-        # every fourth dividend is a multiple of b
-        a = _kpoly_mul(b, kpoly(rng.randint(1, 3))) if k % 4 == 0 else kpoly(rng.randint(0, 6))
-        q, r = exactalg.kpoly_divmod(a, b)
-        assert add(_kpoly_mul(q, b), r) == a
-        assert len(r) < len(b)
-        zero_remainders += not r
-    assert zero_remainders >= 5
 
 
 _W, _ETA = sympy.symbols("w eta")
@@ -827,3 +800,75 @@ def test_eta_gcd_known():
     f = base**2 * ep(1, 1)
     g = base * ep(-2, 1)
     assert eta_gcd(f, g) == base
+
+
+# ---------------------------------------------------------------------------
+# the shared polynomial core
+
+
+def test_pseudo_rem_matches_sympy_over_z_and_qw():
+    # lc(g)^(deg f - deg g + 1) * f mod g, the convention of sympy.prem, on
+    # the integer lists poly_gcd passes and the Q[w] lists the subresultant
+    # sequence passes; every fourth f is a multiple of g
+    rng = rng_for("pseudo-rem-sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(cs):
+        return sympy.Poly(list(reversed(cs)), x)
+
+    def from_sympy(poly):
+        return [] if poly.is_zero else [int(c) for c in reversed(poly.all_coeffs())]
+
+    zero_remainders = 0
+    for k in range(40):
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.choice([-3, -1, 2, 5])]
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 9)]
+        if k % 4 == 0:
+            f = from_sympy(to_sympy(f) * to_sympy(g))
+        want = from_sympy(sympy.prem(to_sympy(f), to_sympy(g)))
+        assert exactalg._pl_pseudo_rem(f, g) == want
+        zero_remainders += not want
+    assert zero_remainders >= 10
+
+    def rand_eta(deg):
+        return [rand_unipoly(rng, 2) for _ in range(deg)] + [rand_unipoly(rng, 2, nonzero=True)]
+
+    for k in range(24):
+        f, g = EtaPoly(rand_eta(rng.randint(0, 4))), EtaPoly(rand_eta(rng.randint(1, 2)))
+        if k % 4 == 0:
+            f = f * g
+        elif k % 4 == 1:
+            f = f * F(2, 3)
+        got = EtaPoly(exactalg._pl_pseudo_rem(list(f.coeffs), list(g.coeffs)))
+        want = sympy.prem(_eta_to_sympy(f), _eta_to_sympy(g), _ETA)
+        assert got == (EtaPoly.zero() if want == 0 else _eta_from_sympy(want))
+
+
+def test_vanishes_at_matches_horner_in_the_residue_field():
+    # f(x) = 0 in K by integer Horner and one pseudo-remainder, against
+    # Horner's rule in K itself; every other f is made to vanish at x
+    rng = rng_for("vanishes-at")
+    hits = 0
+    for k in range(2, 8):
+        mod = _rand_monic(rng, k, rational=k % 2 == 0)
+        for trial in range(6):
+            x = _rand_elem(rng, mod)
+            f = EtaPoly([rand_unipoly(rng, 3) * F(1, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))])
+            if trial % 2 == 0:
+                f = f * EtaPoly((-x.value, UniPoly.one()))
+            acc = reduce_mod(UniPoly.zero(), mod)
+            for c in reversed(f.coeffs):
+                acc = acc * x + reduce_mod(c, mod)
+            assert exactalg.vanishes_at(f, x) == acc.is_zero()
+            hits += acc.is_zero()
+    assert hits >= 18
+
+
+def test_zero_is_falsy_in_every_coefficient_ring():
+    mod = up(1, 0, 1)
+    for x in (up(), up(0, 1), ep(), ep(0, 1), EtaPoly.const(up(0, 1)),
+              reduce_mod(up(), mod), reduce_mod(up(2, 1), mod), reduce_mod(mod, mod)):
+        assert bool(x) == (not x.is_zero())
+    assert not up() and up(3) and not ep() and ep(0, 1)
+    assert exactalg._pl_trim([up(1), up(0, 1), up()]) == [up(1), up(0, 1)]
+    assert exactalg._pl_trim([0, 1, 0, 0]) == [0, 1]

@@ -37,6 +37,7 @@ from speccover.exactalg import (
     UniPoly,
     annihilates_unit,
     factor_rational,
+    reduce_mod,
     vanishing_order,
 )
 from speccover.spectral import (
@@ -204,7 +205,7 @@ def test_annihilating_matches_matrix_power_oracle():
 def test_annihilating_refuses_an_unreduced_square(monkeypatch):
     # r = 4 with support {2} has char = mu^2.  With the eta-gcd skipped, char
     # itself annihilates the matrix (Cayley-Hamilton) and is char^1, so only
-    # the squarefree certificate can refuse it
+    # the squarefree certificate in spectral_curve can refuse it
     monkeypatch.setattr(exactalg, "eta_gcd", lambda f, g: EtaPoly.one())
     with pytest.raises(InternalCheckError, match="not squarefree"):
         spectral_curve(section(4, 2, {2: bf(1, [1, 1])}))
@@ -382,6 +383,18 @@ def test_extension_singular_eta_matches_euclid_oracle():
     assert points >= 5
 
 
+def test_extension_singular_eta_reads_off_a_repeated_value():
+    # over K = Q[w]/(w^2 + 1): gcd(f, f_eta, f_w) is (eta - w)^2 for
+    # f = (eta - w)^3, so eta0 comes from its eta coefficient -2w, scaled by
+    # 1/2; for f = (eta^2 - w^2)^2 it is eta^2 + 1 = (eta - w)(eta + w), two
+    # values that one residue-field element cannot represent
+    mod = up(1, 0, 1)
+    line = ep(up(0, -1), 1)
+    assert spectral._extension_singular_eta(line**3, mod) == reduce_mod(up(0, 1), mod)
+    with pytest.raises(SingularityNotRepresentableError):
+        spectral._extension_singular_eta(ep(up(0, 0, -1), 0, 1) ** 2, mod)
+
+
 def test_singular_locus_unrepresentable_eta():
     # (eta^2 - 2t^2)^2 - s^3 t is singular at w = 0 with eta = +-sqrt(2)
     coeffs = [
@@ -527,7 +540,9 @@ def test_double_cover_predictor_examples():
     assert pts[0].point == ProjPoint.of(1, -1)
     assert pts[0].eta == f.dehomogenize(0).evaluate(-1)
     assert pts[0].certificate == "prop-gen-double"
+    assert point_set(pts) == point_set(singular_locus(spectral_curve(section(2, 2, {0: f, 1: bf(1, [1, 1])}))))
     assert double_cover_singularities(bf(1, [1, 2]), BinForm.const(3), st) == []
+    assert singular_locus(spectral_curve(section(2, 1, {0: bf(1, [1, 2]), 1: BinForm.const(3)}))) == []
 
 
 def test_double_cover_predictor_worse_than_node():
@@ -537,6 +552,7 @@ def test_double_cover_predictor_worse_than_node():
     pts = double_cover_singularities(f, g, st)
     assert len(pts) == 1
     assert pts[0].point == ProjPoint.of(1, -1)
+    assert point_set(pts) == point_set(singular_locus(spectral_curve(section(2, 3, {0: f, 1: g}))))
 
 
 def test_double_cover_predictor_guards():

@@ -34,7 +34,7 @@ def section(r, d, comps):
 
 
 def roots_of(sec):
-    return polynomial_eta_roots(sec, spectral_curve(sec).annihilating)
+    return polynomial_eta_roots(sec, spectral_curve(sec))
 
 
 def subsheaves(m_degrees, sec):
@@ -43,7 +43,7 @@ def subsheaves(m_degrees, sec):
 
 def integrality_of(sec):
     curve = spectral_curve(sec)
-    return certify_integrality(sec, curve, polynomial_eta_roots(sec, curve.annihilating))
+    return certify_integrality(sec, curve, polynomial_eta_roots(sec, curve))
 
 
 def conic(f):
@@ -125,16 +125,14 @@ def test_block_matrix_at_zero_twist_matches_algebra_matrix():
         d = rng.randint(1, 3)
         comps = {k: rand_binform(rng, d if k == 0 else d - 1) for k in range(r)}
         sec = section(r, d, comps)
-        assert higgs_block_matrix(sec, 0, 0) == mult_matrix(sec, 0)
+        assert higgs_block_matrix(sec, 0) == mult_matrix(sec, 0)
 
 
 def test_block_matrix_char_poly_independent_of_twist():
     sec = section(3, 2, {1: bf(1, [1, -1]), 2: bf(1, [0, 2])})
-    want0 = char_poly_matrix(mult_matrix(sec, 0))
-    want1 = char_poly_matrix(mult_matrix(sec, 1))
+    want = char_poly_matrix(mult_matrix(sec, 0))
     for a in (-3, -1, 0, 2, 5):
-        assert char_poly_matrix(higgs_block_matrix(sec, a, 0)) == want0
-        assert char_poly_matrix(higgs_block_matrix(sec, a, 1)) == want1
+        assert char_poly_matrix(higgs_block_matrix(sec, a)) == want
 
 
 def test_block_matrix_degree_bookkeeping():
@@ -148,7 +146,7 @@ def test_block_matrix_degree_bookkeeping():
         comps = {k: rand_binform(rng, d if k == 0 else d - 1) for k in range(r)}
         sec = section(r, d, comps)
         m = pushforward_line_bundle(r, a).degrees
-        mat = higgs_block_matrix(sec, a, 0)
+        mat = higgs_block_matrix(sec, a)
         for i in range(r):
             for j in range(r):
                 entry = mat.rows[i][j]
