@@ -186,9 +186,9 @@ class SpectralCurve:
     """Curve data: characteristic polynomial plus its reduced part.
 
     ``integral`` means certified integral; False is "not certified", not a
-    proof of reducibility.  ``witness_base`` is the base value
-    ``squarefree_fibre_base`` found for the reduced part, which
-    ``spectral_curve`` sets; curves assembled by hand leave it None.
+    proof of reducibility.  ``witness_base`` is a base value where the
+    reduced part's fibre is squarefree, which ``spectral_curve`` sets;
+    curves assembled by hand leave it None.
     """
 
     char: CharData
@@ -279,66 +279,43 @@ def invariant_sections(sec: SectionData) -> CharData:
     return CharData(r, d, elementary)
 
 
-def squarefree_fibre_base(f: EtaPoly, twist: int) -> Fraction:
-    """First base value w0 of 0, 1, -1, 2, ... whose fibre f(w0, eta) keeps
-    eta-degree n and is squarefree; it proves f squarefree over Q(w).
+def _reduced_part(sec: SectionData, char: CharData) -> tuple[EtaForm, Fraction]:
+    """The reduced part m of ``char`` as a form, with its witness base.
 
-    f is a chart-0 polynomial whose eta^j coefficient has degree at most
-    (n - j) * twist, so its eta-discriminant has degree at most
-    n(n-1) * twist in w.  A squarefree f therefore has such a w0 among the
-    first n(n-1) * twist + 1 values, and a search that finds none has found
-    a defect.
+    ``min_poly_matrix`` takes m once, on chart 0, and certifies it: m is
+    squarefree at the witness base and char = m^k, which together prove
+    m = sqfree(char).  m(sigma) = 0 is checked in the cover algebra on both
+    charts, as m(M) e_0 = 0 by ``annihilates_unit``.  This is as strong as
+    m(M) = 0, because ``mult_matrix`` is the regular representation of a
+    commutative, associative algebra with unit e_0, the trivial character:
+    ``validate_algebra`` checks this for explicit covers, and the built-in
+    constructors satisfy it by construction.
     """
-    n = f.degree()
-    for k in range(n * (n - 1) * twist + 1):
-        w0 = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
-        fibre = f.at_base(w0)
-        if fibre.degree() == n and poly_gcd(fibre, fibre.derivative()).degree() == 0:
-            return w0
-    raise InternalCheckError("annihilating polynomial is not squarefree")
+    minimal, base = min_poly_matrix(mult_matrix(sec, 0), char.char_form().dehomogenize(0))
+    form = _homogenized_eta(minimal, sec.twist_degree, 0, "annihilating polynomial")
+    if not annihilates_unit(mult_matrix(sec, 1), form.dehomogenize(1)):
+        raise InternalCheckError("annihilating polynomial fails to annihilate on chart 1")
+    return form, base
 
 
 def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
     """Reduced (squarefree) part of the characteristic polynomial.
 
-    ``char`` is ``invariant_sections(sec)``.  The squarefree part m is taken
-    once, on chart 0; ``spectral_curve`` certifies it squarefree at one base
-    value and checks char = m^k, which together prove m = sqfree(char).
-    m(sigma) = 0 is checked in the cover algebra on both charts, as m(M) e_0
-    = 0 by ``annihilates_unit``.  This is as strong as m(M) = 0, because
-    ``mult_matrix`` is the regular representation of a commutative,
-    associative algebra with unit e_0, the trivial character:
-    ``validate_algebra`` checks this for explicit covers, and the built-in
-    constructors satisfy it by construction.
+    ``char`` is ``invariant_sections(sec)``; see ``_reduced_part`` for the
+    certificates.
     """
-    d = sec.twist_degree
-    minimal = min_poly_matrix(mult_matrix(sec, 0), char.char_form().dehomogenize(0))
-    form = _homogenized_eta(minimal, d, 0, "annihilating polynomial")
-    if not annihilates_unit(mult_matrix(sec, 1), form.dehomogenize(1)):
-        raise InternalCheckError("annihilating polynomial fails to annihilate on chart 1")
-    return form
+    return _reduced_part(sec, char)[0]
 
 
 def spectral_curve(sec: SectionData) -> SpectralCurve:
-    """Bundle the characteristic data with its reduced part m.
+    """Bundle the characteristic data with its reduced part m and the base
+    value where m is certified squarefree.
 
-    Two checks prove m = sqfree(char): m is squarefree at the witness base
-    value, and char = m^k.  Rank-1 input always gives the graph of a
-    section, which is integral; otherwise the integrality flag starts out
-    uncertified.
+    Rank-1 input always gives the graph of a section, which is integral;
+    otherwise the integrality flag starts out uncertified.
     """
     char = invariant_sections(sec)
-    annih = annihilating_poly(sec, char)
-    quotient = char.char_form().dehomogenize(0)
-    reduced = annih.dehomogenize(0)
-    base = squarefree_fibre_base(reduced, annih.twist)
-    try:
-        while quotient.degree() > 0:
-            quotient = quotient.exact_div(reduced)
-    except DegreeError:
-        raise InternalCheckError("annihilating polynomial does not divide f")
-    if quotient != EtaPoly.one():
-        raise InternalCheckError("annihilating polynomial does not divide f")
+    annih, base = _reduced_part(sec, char)
     return SpectralCurve(char, annih, integral=(char.rank == 1), witness_base=base)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .covers import SectionData, SplitBundle, is_standard_cyclic, pushforward_line_bundle
+from .covers import SectionData, SplitBundle, is_standard_cyclic, mult_matrix, pushforward_line_bundle
 from .errors import (
     DegreeError,
     InternalCheckError,
@@ -96,29 +96,6 @@ def _require_standard(sec: SectionData) -> int:
     return sec.cover.degree
 
 
-def higgs_block_matrix(sec: SectionData, a: int) -> PolyMatrix:
-    """Matrix of multiplication by the section on the pushforward of O(a).
-
-    Rows and columns are indexed by residue classes; the entry into class
-    (k + j) from class k carries the class-j component times the monomial
-    that rebalances the two graded generators.  On chart 0 that monomial is
-    w when k + j wraps past r and 1 otherwise, whatever a is.
-    """
-    r = _require_standard(sec)
-    w = UniPoly((0, 1))
-    rows = [[UniPoly.zero() for _ in range(r)] for _ in range(r)]
-    for rho, form in sec.components.items():
-        j = rho[0] if rho else 0
-        h = form.dehomogenize(0)
-        for k in range(r):
-            if j == 0:
-                rows[k][k] = rows[k][k] + h
-                continue
-            carry = 1 if k + j >= r else 0
-            rows[(k + j) % r][k] = rows[(k + j) % r][k] + h * w**carry
-    return PolyMatrix(rows)
-
-
 def graded_degrees(m_degrees: SplitBundle, r: int) -> tuple[int, ...]:
     """Degrees of the full pushforward, summand by summand then class by class."""
     out = []
@@ -180,20 +157,22 @@ def polynomial_eta_roots(sec: SectionData, curve: SpectralCurve) -> RootSearch:
     rational value at any rational base point, so lifting every rational
     fiber root at the curve's witness base, where the fiber is squarefree,
     and then verifying the truncations by exact substitution is exhaustive.
+    A branch has degree <= d in w, since the eta^j coefficient has degree
+    <= (n - j) d, so it equals its Taylor series at the base to order
+    d + 1 and the lift stops there; the substitution still decides.
     """
-    r = _require_standard(sec)
+    _require_standard(sec)
     d = sec.twist_degree
     form = curve.annihilating
     f = form.dehomogenize(0)
     if form.degree == 1:
         return RootSearch((UniPoly.zero() - f.coeff(0),))
     base = curve.witness_base
-    order = 2 * r * d + 1
     shifted = EtaPoly(tuple(c.shift(base) for c in f.coeffs))
     roots = []
     for eta0, _ in rational_roots(f.at_base(base)):
-        lam = _lift_series_root(shifted, eta0, order)
-        cand = _truncate(lam, d + 1).compose(UniPoly((-base, 1)))
+        lam = _lift_series_root(shifted, eta0, d + 1)
+        cand = lam.compose(UniPoly((-base, 1)))
         if cand.degree() <= d and f.eval_poly(cand).is_zero():
             roots.append(cand)
     roots.sort(key=lambda p: (p.degree(), p.coeffs))
@@ -337,26 +316,23 @@ def invariant_subsheaf_search(
             )
     records.sort(key=lambda rec: (len(rec.indices), rec.indices))
 
+    # every summand's pushforward carries the same block on chart 0, the
+    # multiplication matrix; only the degrees of its classes depend on it
+    block = mult_matrix(sec, 0)
     eigen = []
     for lam in roots.roots:
+        shifted_rows = [
+            [block.rows[i][j] - lam if i == j else block.rows[i][j] for j in range(r)]
+            for i in range(r)
+        ]
+        kernel = kernel_basis(PolyMatrix(shifted_rows))
         candidates = []
-        offset = 0
-        for a in m_degrees.degrees:
-            block = higgs_block_matrix(sec, a)
+        for offset, a in enumerate(m_degrees.degrees):
             block_degs = pushforward_line_bundle(r, a).degrees
-            shifted_rows = [
-                [
-                    block.rows[i][j] - lam if i == j else block.rows[i][j]
-                    for j in range(r)
-                ]
-                for i in range(r)
-            ]
-            for vec in kernel_basis(PolyMatrix(shifted_rows)):
-                full = [UniPoly.zero()] * offset + list(vec)
+            for vec in kernel:
+                full = [UniPoly.zero()] * (r * offset) + list(vec)
                 full += [UniPoly.zero()] * (r * ell - len(full))
-                c = _line_degree(vec, block_degs)
-                candidates.append((c, tuple(full)))
-            offset += r
+                candidates.append((_line_degree(vec, block_degs), tuple(full)))
         if not candidates:
             raise InternalCheckError("an eigenvalue branch must contribute a kernel line")
         c = max(item[0] for item in candidates)

@@ -53,7 +53,7 @@ def char_poly_by_elimination(sec) -> EtaPoly:
     result is the product of eta - sigma over the fiber, with no matrix in
     sight.  Only valid over the standard cyclic cover.
     """
-    from speccover.exactalg import resultant_coeffs
+    from oracles import resultant_coeffs
 
     r = sec.cover.degree
     f = [EtaPoly.zero() for _ in range(r + 1)]

@@ -1,11 +1,12 @@
 """Second algorithms that the tests check the package against.
 
 Nothing in the package calls these.  Each one is either an independent way
-to compute something the package computes (the Sylvester matrix, the
-annihilating polynomial by matrix powers, the triple-cover criterion, points
-of the source mapped onto the curve, residue-field inverses and gcds by
-rational Euclid), or a helper that builds and
-recombines test sections on the standard cyclic cover.
+to compute something the package computes (the Sylvester matrix, resultants
+over Q[w] and Q[w][eta] by one remainder sequence, the multiplication matrix
+class by class, the annihilating polynomial by matrix powers, the
+triple-cover criterion, points of the source mapped onto the curve,
+residue-field inverses and gcds by rational Euclid), or a helper that builds
+and recombines test sections on the standard cyclic cover.
 """
 
 from dataclasses import dataclass
@@ -27,9 +28,11 @@ from speccover.exactalg import (
     BinForm,
     EtaPoly,
     ExtElem,
+    PolyMatrix,
     ProjPoint,
     UniPoly,
     _pl_trim,
+    _prs_resultant,
     eta_gcd,
     kpoly_from_etapoly,
     reduce_mod,
@@ -75,8 +78,39 @@ def sylvester_matrix(fc: Sequence, gc: Sequence) -> list[list]:
     return rows
 
 
+def resultant_coeffs(fc: Sequence, gc: Sequence):
+    """Resultant of two polynomials given as ascending coefficient lists over
+    UniPoly or EtaPoly entries, by the subresultant sequence over that ring.
+    Equals the Sylvester determinant of (f, g) with the convention
+    Res(f, g) = lc(f)^deg(g) * prod g(alpha_i).
+    """
+    f = _pl_trim(list(fc))
+    g = _pl_trim(list(gc))
+    if not f and not g:
+        raise UndefinedResultantError("resultant of two zero polynomials")
+    if not f or not g:
+        return type((f or g)[0]).zero()
+    return _prs_resultant(f, g)
+
+
 # ---------------------------------------------------------------------------
 # sections on the standard cyclic cover
+
+
+def block_matrix_by_classes(sec: SectionData):
+    """Chart-0 matrix of multiplication by a section of the standard cyclic
+    cover, built class by class: the entry into class (k + j) from class k
+    carries the class-j component, times w when k + j wraps past r."""
+    r = sec.cover.degree
+    w = UniPoly((0, 1))
+    rows = [[UniPoly.zero() for _ in range(r)] for _ in range(r)]
+    for rho, form in sec.components.items():
+        j = rho[0] if rho else 0
+        h = form.dehomogenize(0)
+        for k in range(r):
+            carry = 1 if k + j >= r else 0
+            rows[(k + j) % r][k] = rows[(k + j) % r][k] + h * w**carry
+    return PolyMatrix(rows)
 
 
 def decompose_section(r: int, d: int, sigma: BinForm) -> SectionData:

@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -468,18 +469,28 @@ def test_each_curve_job_computes_two_characteristic_polynomials(monkeypatch):
     assert calls == [2, 2]
 
 
+def _count_everywhere(monkeypatch, module, name, record):
+    """Wrap module.name in every speccover module that bound it; each call
+    appends record(args, result) to the returned list."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        out = original(*args)
+        calls.append(record(args, out))
+        return out
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("speccover") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 def test_each_curve_job_takes_one_squarefree_part(monkeypatch):
     # the squarefree part is taken once, on chart 0; chart 1 only checks it
     from speccover import exactalg
 
-    original = exactalg.eta_gcd
-    calls = []
-
-    def counted(f, g):
-        calls.append(f.degree())
-        return original(f, g)
-
-    monkeypatch.setattr(exactalg, "eta_gcd", counted)
+    calls = _count_everywhere(monkeypatch, exactalg, "min_poly_matrix", lambda args, out: args[1].degree())
     for job in curve_jobs():
         calls.clear()
         cli.run_job(job)
@@ -487,25 +498,35 @@ def test_each_curve_job_takes_one_squarefree_part(monkeypatch):
 
 
 def test_each_curve_job_finds_one_witness_base(monkeypatch):
-    # spectral_curve certifies the reduced part squarefree at one base value
-    # and keeps that value; the birationality verdict and the eigenvalue
-    # search read it off the curve instead of searching again
-    from speccover import spectral
+    # the squarefree part walks the base values 0, 1, -1, ... once, up to the
+    # witness base it keeps on the curve; the birationality verdict and the
+    # eigenvalue search read it off the curve instead of walking again
+    from speccover import exactalg
 
-    original = spectral.squarefree_fibre_base
-    calls = []
-
-    def counted(f, twist):
-        calls.append(f.degree())
-        return original(f, twist)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("speccover") and getattr(module, "squarefree_fibre_base", None) is original:
-            monkeypatch.setattr(module, "squarefree_fibre_base", counted)
+    fibres = _count_everywhere(monkeypatch, exactalg, "_fibre_exponent", lambda args, out: args[0])
+    found = _count_everywhere(monkeypatch, exactalg, "min_poly_matrix", lambda args, out: out[1])
+    walk = [Fraction((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(20)]
     for job in curve_jobs():
-        calls.clear()
-        cli.run_job(job)
-        assert calls == [3], job["command"]
+        fibres.clear()
+        found.clear()
+        doc = cli.run_job(job)
+        assert len(found) == 1, job["command"]
+        assert len(fibres) == walk.index(found[0]) + 1, job["command"]
+        if job["command"] == "factor":
+            assert doc["results"]["birationality"]["witness_base"] == str(found[0])
+
+
+def test_dense_rank_sixteen_compute_job_within_budget():
+    # every character carries a component, so char is squarefree and is its
+    # own reduced part; the budget bounds the squarefree part and the
+    # annihilation checks at a rank the benchmark grid does not reach
+    section = {"0": {"degree": 1, "coeffs": [1, 2]}}
+    section.update({str(k): {"degree": 0, "coeffs": [k]} for k in range(1, 16)})
+    job = {"command": "compute", "cover": {"r": 16}, "twist_degree": 1, "section": section}
+    started = time.monotonic()
+    doc = cli.run_job(job)
+    assert time.monotonic() - started < 5
+    assert len(doc["results"]["curve"]["annihilating"]["coeffs"]) == 17
 
 
 def test_residue_field_gcd_inverts_once(monkeypatch):

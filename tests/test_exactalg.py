@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from conftest import F, bf, bidouble_cover, ep, rand_binform, rand_unipoly, rng_for, up
-from oracles import _euclid_divmod, euclid_kpoly_gcd, poly_xgcd, sylvester_matrix, xgcd_inverse
+from oracles import _euclid_divmod, euclid_kpoly_gcd, poly_xgcd, resultant_coeffs, sylvester_matrix, xgcd_inverse
 from speccover import exactalg
 from speccover.covers import SectionData, make_cyclic_triple, make_double_cover, make_standard_cyclic, mult_matrix
 from speccover.errors import (
@@ -40,7 +40,6 @@ from speccover.exactalg import (
     rational_roots,
     reduce_mod,
     resultant,
-    resultant_coeffs,
     vanishing_order,
 )
 
@@ -428,6 +427,34 @@ def test_resultant_coeffs_common_factor_over_etapoly():
         assert _sylvester_det(f, g) == EtaPoly.zero()
 
 
+def test_resultant_by_interpolation_matches_the_sylvester_determinant():
+    # rational coefficients; eta-degrees 1-4 against 0-3, so degree-0
+    # operands on either side; leads that vanish at the sample points
+    # w = 0 and w = 2 or at no integer; a planted common factor (resultant
+    # zero) in every third pair
+    rng = rng_for("res-interpolation")
+    leads = [up(1), up(F(3, 2)), up(-2, 1), up(0, F(1, 3)), up(0, -1, 1), up(F(1, 2), 0, 1)]
+
+    def rat_poly():
+        return UniPoly([F(rng.randint(-4, 4), rng.choice([1, 2, 3, 5])) for _ in range(rng.randint(1, 3))])
+
+    def rand_eta(deg):
+        return EtaPoly([rat_poly() for _ in range(deg)] + [rng.choice(leads)])
+
+    zeros = 0
+    for k in range(36):
+        f, g = rand_eta(rng.randint(1, 4)), rand_eta(rng.randint(0, 3))
+        if k % 3 == 0:
+            common = EtaPoly((rat_poly(), rng.choice(leads)))
+            f, g = f * common, g * common
+        if k % 2:
+            f, g = g, f
+        want = det_bareiss([[EtaPoly.const(e) for e in row] for row in sylvester_matrix(list(f.coeffs), list(g.coeffs))])
+        assert EtaPoly.const(resultant(f, g)) == want
+        zeros += want.is_zero()
+    assert zeros >= 12
+
+
 # ---------------------------------------------------------------------------
 # determinants and characteristic polynomials
 
@@ -581,7 +608,7 @@ def test_min_poly_of_repeated_double_cover_block():
     g = up(5, 1)
     w = UniPoly.x()
     a = mult_matrix(SectionData(make_standard_cyclic(4), 2, {2: bf(1, [5, 1])}), 0)
-    out = min_poly_matrix(a, char_poly_matrix(a))
+    out, _ = min_poly_matrix(a, char_poly_matrix(a))
     assert out == EtaPoly((-(w * g * g), UniPoly.zero(), UniPoly.one()))
 
 
@@ -589,7 +616,7 @@ def test_min_poly_scalar_matrix():
     # a section pulled back from the base multiplies by the scalar h
     h = up(1, 2)
     a = mult_matrix(SectionData(make_standard_cyclic(2), 1, {0: bf(1, [1, 2])}), 0)
-    assert min_poly_matrix(a, char_poly_matrix(a)) == EtaPoly((-h, UniPoly.one()))
+    assert min_poly_matrix(a, char_poly_matrix(a))[0] == EtaPoly((-h, UniPoly.one()))
 
 
 def test_min_poly_squarefree_and_divides_char():
@@ -599,11 +626,45 @@ def test_min_poly_squarefree_and_divides_char():
         comps = {k: rand_binform(rng, 1 if k == 0 else 0) for k in range(r) if rng.random() < 0.6}
         a = mult_matrix(SectionData(make_standard_cyclic(r), 1, comps), rng.randint(0, 1))
         char = char_poly_matrix(a)
-        minimal = min_poly_matrix(a, char)
+        minimal, _ = min_poly_matrix(a, char)
         # divides
         char.exact_div(minimal)
         # squarefree: gcd with derivative is constant
         assert eta_gcd(minimal, minimal.derivative()).degree() == 0
+
+
+def test_min_poly_is_the_squarefree_part_by_eta_gcd():
+    # min_poly_matrix takes an exact k-th root; the eta-gcd gives the
+    # squarefree part independently.  Standard covers with gcd(r, support)
+    # = k for k = 1..4, then the double, cyclic-triple and bidouble covers.
+    # The witness is the first base of 0, 1, -1, ... where m is squarefree.
+    rng = rng_for("kth-root-sqfree")
+    cases = [(5, (1, 3), 1), (3, (0, 1, 2), 1), (4, (2,), 2), (6, (0, 2, 4), 2), (6, (3,), 3), (6, (0, 3), 3),
+             (4, (0,), 4), (8, (4,), 4), (8, (0, 4), 4)]
+    sections = []
+    for r, support, k in cases:
+        d = 2 if r <= 6 else 1
+        comps = {j: rand_binform(rng, d if j == 0 else d - 1, nonzero=True) for j in support}
+        sections.append((SectionData(make_standard_cyclic(r), d, comps), k))
+    triple = make_cyclic_triple(bf(1, [1, 2]), bf(1, [-1, 3]))
+    sections.append((SectionData(triple, 2, {0: bf(2, [1, 0, 1]), 1: bf(1, [2, -1]), 2: bf(1, [1, 1])}), 1))
+    double = make_double_cover(bf(2, [-1, 0, 1]))
+    sections.append((SectionData(double, 2, {0: bf(2, [0, 1, 1]), 1: bf(1, [1, -2])}), 1))
+    sections.append((SectionData(bidouble_cover(), 2, {(1, 0): bf(1, [1, 1]), (0, 1): bf(1, [2, -1])}), 1))
+    walk = [F((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(40)]
+    for sec, k in sections:
+        for chart in (0, 1):
+            a = mult_matrix(sec, chart)
+            char = char_poly_matrix(a)
+            g = eta_gcd(char, char.derivative())
+            want = char if g.degree() == 0 else (char * g.lead).exact_div(g)
+            minimal, base = min_poly_matrix(a, char)
+            assert minimal == want
+            assert minimal.degree() * k == char.degree()
+            for w0 in walk[: walk.index(base) + 1]:
+                fibre = minimal.at_base(w0)
+                squarefree = poly_gcd(fibre, fibre.derivative()).degree() == 0
+                assert squarefree == (w0 == base)
 
 
 # ---------------------------------------------------------------------------

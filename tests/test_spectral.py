@@ -203,10 +203,11 @@ def test_annihilating_matches_matrix_power_oracle():
 
 
 def test_annihilating_refuses_an_unreduced_square(monkeypatch):
-    # r = 4 with support {2} has char = mu^2.  With the eta-gcd skipped, char
-    # itself annihilates the matrix (Cayley-Hamilton) and is char^1, so only
-    # the squarefree certificate in spectral_curve can refuse it
-    monkeypatch.setattr(exactalg, "eta_gcd", lambda f, g: EtaPoly.one())
+    # r = 4 with support {2} has char = mu^2.  With the exponent forced to
+    # the wrong k = 1, the root is char itself, which annihilates the matrix
+    # (Cayley-Hamilton) and is char^1, so only the squarefree certificate at
+    # the witness base can refuse it
+    monkeypatch.setattr(exactalg, "_fibre_exponent", lambda fibre: 1)
     with pytest.raises(InternalCheckError, match="not squarefree"):
         spectral_curve(section(4, 2, {2: bf(1, [1, 1])}))
 
@@ -219,9 +220,14 @@ def test_annihilation_check_refuses_a_perturbed_minimal_polynomial(monkeypatch):
         m = minimal.dehomogenize(chart)
         assert annihilates_unit(mat, m)
         assert not annihilates_unit(mat, m + EtaPoly.one())
-    # chart 1 is checked by annihilating_poly itself, after the chart-0 result
+    # chart 1 is checked in spectral, after the chart-0 result
     original = spectral.min_poly_matrix
-    monkeypatch.setattr(spectral, "min_poly_matrix", lambda a, char: original(a, char) + EtaPoly.one())
+
+    def perturbed(a, char):
+        minimal, base = original(a, char)
+        return minimal + EtaPoly.one(), base
+
+    monkeypatch.setattr(spectral, "min_poly_matrix", perturbed)
     with pytest.raises(InternalCheckError, match="chart 1"):
         annihilating_poly(sec, invariant_sections(sec))
 

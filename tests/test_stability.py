@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import F, bf, rand_binform, rng_for, up
+from conftest import F, bf, char_poly_by_elimination, rand_binform, rng_for, up
+from oracles import block_matrix_by_classes
 from speccover.covers import SectionData, SplitBundle, make_standard_cyclic, mult_matrix
 from speccover.errors import DegreeError, PullbackSectionError, UnsupportedCoverError
 from speccover.exactalg import BinForm, PolyMatrix, UniPoly, char_poly_matrix
@@ -14,7 +15,6 @@ from speccover.stability import (
     double_cover_verdict,
     gieseker_verdict,
     graded_degrees,
-    higgs_block_matrix,
     hilbert_poly,
     invariant_subsheaf_search,
     kernel_basis,
@@ -26,7 +26,7 @@ from speccover.stability import (
     _truncate,
 )
 from speccover.exactalg import EtaPoly
-from speccover.spectral import spectral_curve
+from speccover.spectral import CharData, EtaForm, SpectralCurve, spectral_curve
 
 
 def section(r, d, comps):
@@ -116,7 +116,8 @@ def test_relation_sweep():
 
 
 # ---------------------------------------------------------------------------
-# block matrices
+# block matrices: the pushforward of every O(a) carries the chart-0
+# multiplication matrix, whatever a is
 
 
 def test_block_matrix_at_zero_twist_matches_algebra_matrix():
@@ -125,14 +126,13 @@ def test_block_matrix_at_zero_twist_matches_algebra_matrix():
         d = rng.randint(1, 3)
         comps = {k: rand_binform(rng, d if k == 0 else d - 1) for k in range(r)}
         sec = section(r, d, comps)
-        assert higgs_block_matrix(sec, 0) == mult_matrix(sec, 0)
+        assert block_matrix_by_classes(sec) == mult_matrix(sec, 0)
 
 
 def test_block_matrix_char_poly_independent_of_twist():
     sec = section(3, 2, {1: bf(1, [1, -1]), 2: bf(1, [0, 2])})
-    want = char_poly_matrix(mult_matrix(sec, 0))
-    for a in (-3, -1, 0, 2, 5):
-        assert char_poly_matrix(higgs_block_matrix(sec, a)) == want
+    want = char_poly_by_elimination(sec)
+    assert char_poly_matrix(mult_matrix(sec, 0)) == want
 
 
 def test_block_matrix_degree_bookkeeping():
@@ -146,7 +146,7 @@ def test_block_matrix_degree_bookkeeping():
         comps = {k: rand_binform(rng, d if k == 0 else d - 1) for k in range(r)}
         sec = section(r, d, comps)
         m = pushforward_line_bundle(r, a).degrees
-        mat = higgs_block_matrix(sec, a)
+        mat = mult_matrix(sec, 0)
         for i in range(r):
             for j in range(r):
                 entry = mat.rows[i][j]
@@ -217,6 +217,20 @@ def test_series_lift_recovers_polynomial_branch():
     cand = _truncate(lam, 3).compose(up(-1, 1))
     assert cand == up(0, 0, 1)
     assert f.eval_poly(cand).is_zero()
+
+
+def test_root_search_finds_a_branch_of_degree_exactly_d():
+    # (eta - lam)(eta^2 - 3w) with deg lam = d, lifted at w0 = 1: the lift
+    # must reach order d + 1 to see lam's top coefficient
+    for d in (1, 2, 3):
+        lam = up(*([1] + [0] * (d - 1) + [1]))  # w^d + 1
+        f = EtaPoly((up(0, 3) * lam, up(0, -3), -lam, up(1)))
+        form = EtaForm.from_chart(f, d, 0)
+        char = CharData(3, d, [-form.coeff(2), form.coeff(1), -form.coeff(0)])
+        curve = SpectralCurve(char, form, witness_base=Fraction(1))
+        search = polynomial_eta_roots(section(3, d, {}), curve)
+        assert search.roots == (lam,)
+        assert search.base == 1
 
 
 # ---------------------------------------------------------------------------
