@@ -787,7 +787,7 @@ def _prs_resultant(f: list, g: list):
         return g[0] ** (len(f) - 1)
     f, g, scale_h, odd = _subresultant_prs(f, g)
     if not g:
-        return 0 * scale_h
+        return 0 * scale_h  # the ring's zero
     df = len(f) - 1
     out = _quo(g[0] ** df, scale_h ** (df - 1))
     return -out if negate != odd else out
@@ -805,7 +805,9 @@ def _sylvester_at(f: list, g: list, n: int, m: int) -> int:
     """
     f, g = _pl_trim(f), _pl_trim(g)
     if len(f) == n + 1:
-        return f[-1] ** (m + 1 - len(g)) * _prs_resultant(f, g) if g else 0
+        if not g:
+            return 0
+        return f[-1] ** (m + 1 - len(g)) * _prs_resultant(f, g)
     if len(g) == m + 1:
         if not f:
             return 0
@@ -828,14 +830,14 @@ def _resultant_degree_bound(f: EtaPoly, g: EtaPoly) -> int:
     discriminant of eta-degree n and twist d it is n (n - 1) d.
     """
     n, m = f.degree(), g.degree()
-    top = max(c.degree() for c in f.coeffs + g.coeffs)
-    best = None
-    for t in range(top + 1):
+
+    def bound(t: int) -> int:
         a = max(c.degree() - (n - i) * t for i, c in enumerate(f.coeffs) if c)
         b = max(c.degree() - (m - j) * t for j, c in enumerate(g.coeffs) if c)
-        bound = m * a + n * b + n * m * t
-        best = bound if best is None else min(best, bound)
-    return best
+        return m * a + n * b + n * m * t
+
+    # past the largest coefficient degree, a and b stay at the leads' degrees
+    return min(bound(t) for t in range(max(c.degree() for c in f.coeffs + g.coeffs) + 1))
 
 
 def _int_eta_coeffs(f: EtaPoly) -> tuple[list, int]:
