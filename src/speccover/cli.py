@@ -15,6 +15,7 @@ package cannot represent, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -589,6 +590,7 @@ def _cmd_repro(args) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="speccover",

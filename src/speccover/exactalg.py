@@ -20,9 +20,10 @@ Conventions used by the whole package:
 
 The kernels over Q[w] work at integer points: `char_poly_matrix` and
 `resultant` evaluate at w = 0, 1, ..., D for a degree bound D, compute over
-Z, and interpolate exactly; `min_poly_matrix` takes the squarefree part as
-an exact k-th root, certified at one base value.  No production path runs a
-remainder sequence over Q[w].
+Z, and interpolate exactly; `annihilates_unit` checks that an integer
+vector vanishes at those points; `min_poly_matrix` takes the squarefree
+part as an exact k-th root, certified at one base value.  No production
+path runs a remainder sequence over Q[w].
 """
 
 from __future__ import annotations
@@ -974,6 +975,22 @@ def _interpolate_int(values: Sequence[int]) -> list[int]:
     return out
 
 
+def _integer_matrix(a: PolyMatrix):
+    """(den, deg, at) for B = den * A in Z[w]: den the lcm of A's coefficient
+    denominators, deg >= 0 the largest entry degree in w, and at(x) the
+    integer matrix B(x)."""
+    entries = [e for row in a.rows for e in row]
+    den = lcm(*(c.denominator for e in entries for c in e.coeffs))
+    deg = max(0, max(e.degree() for e in entries))
+    scaled = [[[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row] for row in a.rows]
+
+    def at(x: int) -> list[list[int]]:
+        powers = [x**k for k in range(deg + 1)]
+        return [[sum(map(mul, cs, powers)) for cs in row] for row in scaled]
+
+    return den, deg, at
+
+
 def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
     """det(eta * id - A), monic of degree n in eta.
 
@@ -984,14 +1001,8 @@ def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
     B(0), ..., B(i * e), and dividing it by den^i gives that of A.
     """
     n = a.n
-    entries = [e for row in a.rows for e in row]
-    den = lcm(*(c.denominator for e in entries for c in e.coeffs))
-    deg = max(0, max(e.degree() for e in entries))
-    scaled = [[[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row] for row in a.rows]
-    samples = []
-    for x in range(n * deg + 1):
-        powers = [x**k for k in range(deg + 1)]
-        samples.append(_berkowitz([[sum(map(mul, cs, powers)) for cs in row] for row in scaled]))
+    den, deg, at = _integer_matrix(a)
+    samples = [_berkowitz(at(x)) for x in range(n * deg + 1)]
     coeffs = []
     for i in range(n + 1):
         ints = _interpolate_int([s[i] for s in samples[: i * deg + 1]])
@@ -1031,18 +1042,36 @@ def eta_gcd(f: EtaPoly, g: EtaPoly) -> EtaPoly:
 
 
 def annihilates_unit(a: PolyMatrix, poly: EtaPoly) -> bool:
-    """Whether poly(A) e_0 = 0, by Horner on a vector: v <- A v + c e_0.
+    """Whether poly(A) e_0 = 0, decided over Z at the points w = 0, ..., D.
 
-    Each step costs one matrix-vector product.  When A is the regular
-    representation of an associative algebra whose basis vector 0 is the
-    unit, as ``covers.mult_matrix`` is, poly(A) is multiplication by
-    poly(A) e_0, so this holds exactly when poly(A) = 0.
+    When A is the regular representation of an associative algebra whose
+    basis vector 0 is the unit, as ``covers.mult_matrix`` is, poly(A) is
+    multiplication by poly(A) e_0, so this holds exactly when poly(A) = 0.
+
+    With B = den * A in Z[w] as in ``_integer_matrix``, e = deg poly, pden
+    the lcm of poly's coefficient denominators and c_j = pden den^(e-j) p_j
+    in Z[w], c_j B^j = pden den^e p_j A^j, so the integer vector
+    u = sum_j c_j B^j e_0 is pden den^e poly(A) e_0, zero exactly when
+    poly(A) e_0 is.  Each entry of B^j is a sum of products of j entries of
+    B, of degree at most j deg A, so each entry of u has degree at most
+    D = max_j (deg c_j + j deg A) in w.  u(x) is found by Horner on an
+    integer vector, v <- B(x) v, then v_0 += c_j(x), and a polynomial of
+    degree at most D that vanishes at D + 1 points is zero.
     """
-    vec = [UniPoly.zero()] * a.n
-    for c in reversed(poly.coeffs):
-        vec = a.apply(vec)
-        vec[0] = vec[0] + c
-    return all(e.is_zero() for e in vec)
+    den, deg, at = _integer_matrix(a)
+    pc = _int_eta_coeffs(poly)[0]
+    e = len(pc) - 1
+    cs = [[c * den ** (e - j) for c in p] for j, p in enumerate(pc)]
+    bound = max((len(c) - 1 + j * deg for j, c in enumerate(cs) if c), default=0)
+    for x in range(bound + 1):
+        b = at(x)
+        vec = [0] * a.n
+        for c in reversed(cs):
+            vec = [sum(map(mul, row, vec)) for row in b]
+            vec[0] += _horner(c, x)
+        if any(vec):
+            return False
+    return True
 
 
 def _kth_root(cs: list, k: int):

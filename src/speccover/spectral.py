@@ -290,6 +290,12 @@ def _reduced_part(sec: SectionData, char: CharData) -> tuple[EtaForm, Fraction]:
     commutative, associative algebra with unit e_0, the trivial character:
     ``validate_algebra`` checks this for explicit covers, and the built-in
     constructors satisfy it by construction.
+
+    The chart-1 check is not implied by the chart-0 one: it independently
+    checks ``mult_matrix``'s chart-1 dehomogenization, which the two
+    characteristic polynomials agreeing in ``invariant_sections`` does not
+    prove.  Taken over Z at integer points, it costs no more than the
+    chart-1 ``char_poly_matrix`` does.
     """
     minimal, base = min_poly_matrix(mult_matrix(sec, 0), char.char_form().dehomogenize(0))
     form = _homogenized_eta(minimal, sec.twist_degree, 0, "annihilating polynomial")

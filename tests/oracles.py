@@ -4,9 +4,10 @@ Nothing in the package calls these.  Each one is either an independent way
 to compute something the package computes (the Sylvester matrix, resultants
 over Q[w] and Q[w][eta] by one remainder sequence, the multiplication matrix
 class by class, the annihilating polynomial by matrix powers, the
-triple-cover criterion, points of the source mapped onto the curve,
-residue-field inverses and gcds by rational Euclid), or a helper that builds
-and recombines test sections on the standard cyclic cover.
+annihilation check by Horner over Q[w], the triple-cover criterion, points
+of the source mapped onto the curve, residue-field inverses and gcds by
+rational Euclid), or a helper that builds and recombines test sections on
+the standard cyclic cover.
 """
 
 from dataclasses import dataclass
@@ -238,6 +239,16 @@ def annihilating_by_matrix_powers(sec: SectionData, char: CharData) -> EtaForm:
     if forms[0].coeffs != forms[1].coeffs:
         raise InternalCheckError("charts disagree on the annihilating polynomial")
     return forms[0]
+
+
+def annihilates_unit_by_horner(a: PolyMatrix, poly: EtaPoly) -> bool:
+    """Whether poly(A) e_0 = 0, by Horner on a vector over Q[w]:
+    v <- A v + c e_0, one matrix-vector product per coefficient."""
+    vec = [UniPoly.zero()] * a.n
+    for c in reversed(poly.coeffs):
+        vec = a.apply(vec)
+        vec[0] = vec[0] + c
+    return all(e.is_zero() for e in vec)
 
 
 # ---------------------------------------------------------------------------

@@ -516,17 +516,18 @@ def test_each_curve_job_finds_one_witness_base(monkeypatch):
             assert doc["results"]["birationality"]["witness_base"] == str(found[0])
 
 
-def test_dense_rank_sixteen_compute_job_within_budget():
+@pytest.mark.parametrize("r", [16, 32])
+def test_dense_compute_job_within_budget(r):
     # every character carries a component, so char is squarefree and is its
     # own reduced part; the budget bounds the squarefree part and the
-    # annihilation checks at a rank the benchmark grid does not reach
+    # annihilation checks at ranks the benchmark grid does not reach
     section = {"0": {"degree": 1, "coeffs": [1, 2]}}
-    section.update({str(k): {"degree": 0, "coeffs": [k]} for k in range(1, 16)})
-    job = {"command": "compute", "cover": {"r": 16}, "twist_degree": 1, "section": section}
+    section.update({str(k): {"degree": 0, "coeffs": [k]} for k in range(1, r)})
+    job = {"command": "compute", "cover": {"r": r}, "twist_degree": 1, "section": section}
     started = time.monotonic()
     doc = cli.run_job(job)
     assert time.monotonic() - started < 5
-    assert len(doc["results"]["curve"]["annihilating"]["coeffs"]) == 17
+    assert len(doc["results"]["curve"]["annihilating"]["coeffs"]) == r + 1
 
 
 def test_residue_field_gcd_inverts_once(monkeypatch):

@@ -12,7 +12,15 @@ import pytest
 import sympy
 
 from conftest import F, bf, bidouble_cover, ep, rand_binform, rand_unipoly, rng_for, up
-from oracles import _euclid_divmod, euclid_kpoly_gcd, poly_xgcd, resultant_coeffs, sylvester_matrix, xgcd_inverse
+from oracles import (
+    _euclid_divmod,
+    annihilates_unit_by_horner,
+    euclid_kpoly_gcd,
+    poly_xgcd,
+    resultant_coeffs,
+    sylvester_matrix,
+    xgcd_inverse,
+)
 from speccover import exactalg
 from speccover.covers import SectionData, make_cyclic_triple, make_double_cover, make_standard_cyclic, mult_matrix
 from speccover.errors import (
@@ -31,6 +39,7 @@ from speccover.exactalg import (
     PolyMatrix,
     ProjPoint,
     UniPoly,
+    annihilates_unit,
     char_poly_matrix,
     eta_gcd,
     factor_rational,
@@ -633,6 +642,12 @@ def test_min_poly_squarefree_and_divides_char():
         assert eta_gcd(minimal, minimal.derivative()).degree() == 0
 
 
+def _squarefree_part(char):
+    """char / gcd(char, char') over Q(w), by the eta-gcd."""
+    g = eta_gcd(char, char.derivative())
+    return char if g.degree() == 0 else (char * g.lead).exact_div(g)
+
+
 def test_min_poly_is_the_squarefree_part_by_eta_gcd():
     # min_poly_matrix takes an exact k-th root; the eta-gcd gives the
     # squarefree part independently.  Standard covers with gcd(r, support)
@@ -656,15 +671,76 @@ def test_min_poly_is_the_squarefree_part_by_eta_gcd():
         for chart in (0, 1):
             a = mult_matrix(sec, chart)
             char = char_poly_matrix(a)
-            g = eta_gcd(char, char.derivative())
-            want = char if g.degree() == 0 else (char * g.lead).exact_div(g)
             minimal, base = min_poly_matrix(a, char)
-            assert minimal == want
+            assert minimal == _squarefree_part(char)
             assert minimal.degree() * k == char.degree()
             for w0 in walk[: walk.index(base) + 1]:
                 fibre = minimal.at_base(w0)
                 squarefree = poly_gcd(fibre, fibre.derivative()).degree() == 0
                 assert squarefree == (w0 == base)
+
+
+def _annihilation_bound(a, poly):
+    """max_j (deg p_j + j deg A): the w-degree bound of poly(A) e_0 after
+    clearing denominators, which annihilates_unit samples up to."""
+    deg_a = max(0, max(e.degree() for row in a.rows for e in row))
+    return max(c.degree() + j * deg_a for j, c in enumerate(poly.coeffs) if c)
+
+
+def test_annihilates_unit_matches_horner_oracle():
+    # random rational matrices (not regular representations: the check is
+    # poly(A) e_0 = 0 for any A), a zero matrix, a nilpotent shift that
+    # moves e_0, and the cover matrices; against random polys, the
+    # squarefree part of char, m + 1, m times a random poly, and the zero
+    # and constant polys
+    rng = rng_for("annihilates-unit")
+    mats = []
+    for n in range(1, 7):
+        for _ in range(2):
+            top = rng.randint(-1, 5)
+            mats.append(PolyMatrix(
+                [[_rand_rational_unipoly(rng, rng.randint(-1, top)) for _ in range(n)] for _ in range(n)]
+            ))
+    zero = PolyMatrix([[UniPoly.zero()] * 4 for _ in range(4)])
+    shift = PolyMatrix([[up(F(1, 2)) if i == j + 1 else UniPoly.zero() for j in range(3)] for i in range(3)])
+    mats += [zero, shift]
+    mats.extend(_cover_matrices())
+    answers = []
+    for a in mats:
+        m = _squarefree_part(char_poly_matrix(a))
+        multiple = m * EtaPoly([_rand_rational_unipoly(rng, rng.randint(0, 2)) for _ in range(2)])
+        polys = [m, m + EtaPoly.one(), multiple]
+        for _ in range(3):
+            e = rng.randint(0, a.n + 1)
+            polys.append(EtaPoly([_rand_rational_unipoly(rng, rng.randint(-1, 4)) for _ in range(e + 1)]))
+        polys += [EtaPoly.zero(), EtaPoly.one(), ep(up(F(-3, 7))), ep(up(0, 1))]
+        for poly in polys:
+            got = annihilates_unit(a, poly)
+            assert got == annihilates_unit_by_horner(a, poly)
+            answers.append(got)
+    # the zero and constant polys keep their answers
+    assert annihilates_unit(zero, EtaPoly.zero()) and annihilates_unit(zero, ep(0, 1))
+    assert not annihilates_unit(zero, EtaPoly.one())
+    # the shift's squarefree part eta sends e_0 to e_1
+    assert not annihilates_unit(shift, ep(0, 1))
+    assert answers.count(True) >= 90 and answers.count(False) >= 200
+
+
+def test_annihilates_unit_sees_the_last_point():
+    # m + P with P = w (w - 1) ... (w - D + 1), D the bound of m's input:
+    # deg P = D keeps the bound, P e_0 vanishes at w = 0..D-1, and only
+    # the point w = D shows that m + P does not annihilate
+    for a in _cover_matrices():
+        m = _squarefree_part(char_poly_matrix(a))
+        bound = _annihilation_bound(a, m)
+        assert bound >= 1 and annihilates_unit(a, m)
+        p = UniPoly.one()
+        for i in range(bound):
+            p = p * up(-i, 1)
+        perturbed = m + EtaPoly.const(p)
+        assert _annihilation_bound(a, perturbed) == bound
+        assert not annihilates_unit_by_horner(a, perturbed)
+        assert not annihilates_unit(a, perturbed)
 
 
 # ---------------------------------------------------------------------------
