@@ -23,14 +23,17 @@ The kernels over Q[w] work at integer points: `char_poly_matrix` and
 Z, and interpolate exactly; `annihilates_unit` checks that an integer
 vector vanishes at those points; `min_poly_matrix` takes the squarefree
 part as an exact k-th root, certified at one base value.  No production
-path runs a remainder sequence over Q[w].
+path runs a remainder sequence over Q[w].  `kpoly_gcd`, the gcd over a
+residue field Q[w]/(p), runs Euclid modulo primes below 2^62 on plain
+ints, recovers the rational coefficients, and certifies the result by
+exact division over Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -841,10 +844,11 @@ def _resultant_degree_bound(f: EtaPoly, g: EtaPoly) -> int:
     return min(bound(t) for t in range(max(c.degree() for c in f.coeffs + g.coeffs) + 1))
 
 
-def _int_eta_coeffs(f: EtaPoly) -> tuple[list, int]:
-    """(den * f as integer coefficient lists, den), den the common denominator."""
-    den = lcm(*(c.denominator for p in f.coeffs for c in p.coeffs))
-    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in f.coeffs], den
+def _int_coeff_lists(polys: Sequence[UniPoly]) -> tuple[list, int]:
+    """(den * polys as integer coefficient lists, den), den the common
+    denominator."""
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
 
 
 def _horner(cs: list, x: int) -> int:
@@ -872,7 +876,7 @@ def resultant(f: EtaPoly, g: EtaPoly) -> UniPoly:
     n, m = f.degree(), g.degree()
     if n == 0 or m == 0:
         return f.lead**m if n == 0 else g.lead**n
-    (fi, fden), (gi, gden) = _int_eta_coeffs(f), _int_eta_coeffs(g)
+    (fi, fden), (gi, gden) = _int_coeff_lists(f.coeffs), _int_coeff_lists(g.coeffs)
     values = []
     for x in range(_resultant_degree_bound(f, g) + 1):
         values.append(_sylvester_at([_horner(c, x) for c in fi], [_horner(c, x) for c in gi], n, m))
@@ -1059,7 +1063,7 @@ def annihilates_unit(a: PolyMatrix, poly: EtaPoly) -> bool:
     degree at most D that vanishes at D + 1 points is zero.
     """
     den, deg, at = _integer_matrix(a)
-    pc = _int_eta_coeffs(poly)[0]
+    pc = _int_coeff_lists(poly.coeffs)[0]
     e = len(pc) - 1
     cs = [[c * den ** (e - j) for c in p] for j, p in enumerate(pc)]
     bound = max((len(c) - 1 + j * deg for j, c in enumerate(cs) if c), default=0)
@@ -1160,7 +1164,8 @@ class ExtElem:
     """Element of Q[w]/(modulus); modulus monic of degree >= 1.
 
     For irreducible moduli this is a number field; the package only builds
-    them with irreducible moduli, which makes `inv` total on nonzero elements.
+    them with irreducible moduli, which makes `inv` total on nonzero elements
+    and the monic gcd of `kpoly_gcd` unique.
     """
 
     modulus: UniPoly
@@ -1217,7 +1222,8 @@ class ExtElem:
         raise TypeError(f"cannot combine ExtElem with {other!r}")
 
     def inv(self) -> ExtElem:
-        """Inverse by fraction-free (Bareiss) elimination over Z.
+        """Inverse by fraction-free (Bareiss) elimination over Z.  No
+        production path calls it: ``kpoly_gcd`` inverts modulo primes only.
 
         Column j of the k x k system holds the coefficients of
         value * w^j mod modulus, scaled to integers by one common
@@ -1282,19 +1288,241 @@ def kpoly_from_etapoly(f: EtaPoly, modulus: UniPoly) -> list[ExtElem]:
     return _pl_trim([reduce_mod(c, modulus) for c in f.coeffs])
 
 
-def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
-    """Monic gcd of eta-polynomials over the residue field.
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 37, which is deterministic for
+    n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Runs a pseudo-remainder sequence, which needs no inverse, and inverts
-    once at the end to make the result monic.
+
+# a run of refused primes this long means a premise of kpoly_gcd fails
+_REFUSED_PRIMES = 64
+
+# the largest primes below 2^62 are 2^62 minus these, in order; the table
+# spares the 0.4 ms that ``_is_prime`` takes to find each one
+_PRIME_OFFSETS = (
+    57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317, 443, 483, 495, 575, 581, 603, 633, 663,
+    765, 773, 777, 791, 813, 831, 923, 981, 993, 1001, 1007, 1017, 1197, 1241, 1293, 1353, 1433, 1515,
+)
+
+
+def _gcd_primes():
+    """The primes below 2^62, largest first: the order ``kpoly_gcd`` tries
+    them in.  Past the table, ``_is_prime`` finds them."""
+    for offset in _PRIME_OFFSETS:
+        yield 2**62 - offset
+    n = 2**62 - _PRIME_OFFSETS[-1] - 2
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _fq_submul(x: list, t: list, y: list, m: list, q: int) -> list:
+    """x - t * y mod the monic m in F_q[w], for x, t, y of degree < deg m."""
+    k = len(m) - 1
+    out = list(x) + [0] * (len(t) + len(y) - 1 - len(x))
+    for i, u in enumerate(t):
+        for j, v in enumerate(y):
+            out[i + j] -= u * v
+    for i in range(len(out) - 1, k - 1, -1):
+        c = out.pop() % q
+        if c:
+            for j in range(k):
+                out[i - k + j] -= c * m[j]
+    return _pl_trim([c % q for c in out])
+
+
+def _fq_inv(x: list, m: list, q: int):
+    """The inverse of x modulo m in F_q[w], or None when gcd(x, m) != 1."""
+    r0, r1, s0, s1 = list(m), list(x), [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, q)
+        while len(r0) >= len(r1):  # r0 -= c w^d r1 and s0 -= c w^d s1
+            c, d = r0.pop() * inv % q, len(r0) + 1 - len(r1)
+            for j, v in enumerate(r1[:-1]):
+                r0[d + j] = (r0[d + j] - c * v) % q
+            s0 += [0] * (d + len(s1) - len(s0))
+            for j, v in enumerate(s1):
+                s0[d + j] = (s0[d + j] - c * v) % q
+            _pl_trim(r0), _pl_trim(s0)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if len(r0) != 1:
+        return None
+    c = pow(r0[0], -1, q)
+    return [v * c % q for v in s0]
+
+
+def _kgcd_mod(a: list, b: list, m: list, q: int):
+    """Monic gcd in (F_q[w]/(m))[eta] of a != [] and b by monic Euclid, or
+    None when a leading coefficient it inverts, lc(a) first, is not a unit."""
+    while a:
+        inv = _fq_inv(a[-1], m, q)
+        if inv is None:
+            return None
+        minus = [-v for v in inv]
+        a, b = [_fq_submul([], minus, c, m, q) for c in a[:-1]] + [[1]], list(b)
+        while len(b) >= len(a):
+            t = b.pop()
+            top = len(b) - len(a) + 1
+            for j, c in enumerate(a[:-1]):
+                b[top + j] = _fq_submul(b[top + j], t, c, m, q)
+        a, b = _pl_trim(b), a
+    return b
+
+
+def _gcd_image(ai: list, bi: list, pm: list, q: int):
+    """``_kgcd_mod`` of the integer coefficient lists ai and bi (ai != [])
+    modulo q and pm, or None when pm mod q is not squarefree or the Euclid
+    refuses q.  The caller has checked that q divides no denominator."""
+    inv = pow(pm[-1], -1, q)
+    m = [c * inv % q for c in pm]
+    if _fq_inv(_pl_trim([i * c % q for i, c in enumerate(m)][1:]), m, q) is None:
+        return None
+    a, b = ([_pl_trim([x % q for x in c]) for c in f] for f in (ai, bi))
+    return _kgcd_mod(a, b, m, q)
+
+
+def _rational_reconstruction(images: list, m: int):
+    """For each u of images, the n/d with |n|, d <= sqrt(m/2), gcd(n, d) = 1
+    and n = u d mod m, by Wang's half-extended Euclid on m and u; or None
+    at the first u that has none."""
+    bound = isqrt(m // 2)
+    out = []
+    for u in images:
+        r0, r1, s0, s1 = m, u, 0, 1
+        while r1 > bound:
+            c = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - c * r1, s1, s0 - c * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, s1))
+    return out
+
+
+def _reduce_times_lead(h: list, pm: list) -> list:
+    """c^(k-1) h mod pm over Z, for pm of degree k and lead c and h of degree
+    at most 2k - 2: every h is scaled alike, which a remainder sequence
+    of several coefficients needs."""
+    e = max(len(h) - len(pm) + 1, 0)
+    scale = pm[-1] ** (len(pm) - 2 - e)
+    return [c * scale for c in _pl_pseudo_rem(h, pm)]
+
+
+def _divides_in_field(g: list, f: list, pm: list) -> bool:
+    """Whether g divides f in K[eta], K = Q[w]/(pm), for g and f integer
+    w-coefficient lists of w-degree < deg pm, g's lead a nonzero integer.
+
+    Each step subtracts a multiple of g from lead(g) f and reduces every
+    coefficient by ``_reduce_times_lead``, so f stays a nonzero integer
+    multiple of the partial remainder in K[eta]; a coefficient is zero in K
+    exactly when its reduction is the zero list.
+    """
+    lead, n = g[-1][0], len(g) - 1
+    g = [_ZPoly(c) for c in g[:-1]]
+    f = [_ZPoly(c) for c in f]
+    while len(f) > n:
+        t = f.pop()
+        top = len(f) - n
+        f = [c * lead for c in f[:top]] + [c * lead - t * h for c, h in zip(f[top:], g)]
+        f = _pl_trim([_ZPoly(_reduce_times_lead(list(c.coeffs), pm)) for c in f])
+    return not f
+
+
+def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
+    """Monic gcd of eta-polynomials over the residue field K = Q[w]/(p), by
+    the modular algorithm of Encarnacion (J. Symb. Comp. 1995) and Monagan
+    and van Hoeij (ISSAC 2004), certified by exact division.
+
+    p is irreducible, as ``ExtElem`` takes it, so K is a field and the monic
+    gcd G is unique.  Let a be the input of larger degree.  The primes q of
+    ``_gcd_primes`` are tried in turn.  q is refused when it divides a
+    denominator of p, a or b, when p mod q is not squarefree, or when monic
+    Euclid in (F_q[w]/(p mod q))[eta] meets a leading coefficient that is
+    not a unit, lc(a) first; otherwise it gives a monic image g_q.  Only the
+    images of the least degree seen are kept.  They are combined by CRT,
+    and each rational w-coefficient is recovered by rational
+    reconstruction.  Once the reconstruction g agrees with the image of the
+    next prime, g is returned if it divides a and b exactly, which
+    ``_divides_in_field`` decides over Z.
+
+    Why that g is G.  Let q be an accepted prime.  p is monic over Z_(q)
+    and p mod q is squarefree, so by Dedekind's criterion O = Z_(q)[w]/(p)
+    is q-maximal: it is integrally closed, and O/qO = F_q[w]/(p mod q) is a
+    product of finite fields.  a and b have coefficients in O, and lc(a) is
+    a unit of O, so a/lc(a) is monic over O.  G divides it, so the roots of
+    G are integral over O, and the coefficients of G, symmetric functions
+    of them, lie in O.  Division by the monic G needs no inverse, so
+    a/lc(a) = G h and b = G h' with h, h' over O, and G mod q divides a and
+    b mod q in each field of O/qO.  Every leading coefficient Euclid
+    inverted was a unit, so g_q is their gcd in each of those fields.
+    Hence deg G <= deg g_q = deg g.  g divides a and b, so g divides G; both
+    are monic, so g = G.  An image of degree 0 proves G = 1 at once, and
+    an input that is monic of the image's degree is tried as g at once.
+
+    Only finitely many primes are refused or give too large a degree while
+    p is irreducible; a run of ``_REFUSED_PRIMES`` refusals is taken for a
+    broken premise and raises InternalCheckError.
     """
     a, b = _pl_trim(list(a)), _pl_trim(list(b))
-    while b:
-        a, b = b, _pl_pseudo_rem(a, b)
-    if a:
-        la = a[-1].inv()
-        a = [c * la for c in a]
-    return a
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return []
+    modulus = a[-1].modulus
+    if any(c.modulus != modulus for c in a + b):
+        raise ModulusError("mixed moduli in a residue-field gcd")
+    k, pm = modulus.degree(), _to_int_poly(modulus)
+    (ai, aden), (bi, bden) = (_int_coeff_lists([c.value for c in f]) for f in (a, b))
+    one = ExtElem(modulus, UniPoly.one())
+    best = cand = None
+    refused = 0
+    for q in _gcd_primes():
+        # q divides a denominator of the monic p exactly when it divides lc(pm)
+        g = None if pm[-1] % q == 0 or aden % q == 0 or bden % q == 0 else _gcd_image(ai, bi, pm, q)
+        if g is None:
+            refused += 1
+            if refused == _REFUSED_PRIMES:
+                raise InternalCheckError(f"{refused} primes in a row refused a gcd over {modulus}")
+            continue
+        refused, n = 0, len(g) - 1
+        if n == 0:
+            return [one]
+        image = [x for c in g[:-1] for x in c + [0] * (k - len(c))]
+        if best is None or n < best:
+            best, images, modulo = n, image, q
+            for f, fi, other in ((b, bi, ai), (a, ai, bi)):
+                if len(f) == n + 1 and f[-1] == one and _divides_in_field(fi, other, pm):
+                    return f
+        elif n > best:
+            continue
+        else:
+            if cand is not None and all(
+                x.denominator % q and x.numerator * pow(x.denominator, -1, q) % q == y for x, y in zip(cand, image)
+            ):
+                den = lcm(*(x.denominator for x in cand))
+                gi = [[int(x * den) for x in cand[i : i + k]] for i in range(0, n * k, k)] + [[den]]
+                if _divides_in_field(gi, ai, pm) and _divides_in_field(gi, bi, pm):
+                    return [ExtElem(modulus, UniPoly(cand[i : i + k])) for i in range(0, n * k, k)] + [one]
+            inv = pow(modulo, -1, q)
+            images = [x + modulo * ((y - x) * inv % q) for x, y in zip(images, image)]
+            modulo *= q
+        cand = _rational_reconstruction(images, modulo)
 
 
 def vanishes_at(f: EtaPoly, x: ExtElem) -> bool:

@@ -530,9 +530,9 @@ def test_dense_compute_job_within_budget(r):
     assert len(doc["results"]["curve"]["annihilating"]["coeffs"]) == r + 1
 
 
-def test_residue_field_gcd_inverts_once(monkeypatch):
-    # kpoly_gcd runs a pseudo-remainder sequence, which divides by nothing,
-    # and inverts one leading coefficient at the end to make the gcd monic
+def test_residue_field_gcd_never_inverts(monkeypatch):
+    # kpoly_gcd works modulo primes and certifies by exact division over Z,
+    # so no residue-field element is inverted
     from speccover import exactalg, spectral
 
     original_gcd, original_inv = exactalg.kpoly_gcd, exactalg.ExtElem.inv
@@ -553,7 +553,19 @@ def test_residue_field_gcd_inverts_once(monkeypatch):
     job = next(job for job in curve_jobs() if job["command"] == "singular")
     assert cli.run_job(job)["results"]["count"] == 2
     assert len(per_gcd) >= 4
-    assert per_gcd == [1] * len(per_gcd)
+    assert per_gcd == [0] * len(per_gcd)
+
+
+def test_full_support_singular_job_within_budget():
+    # the singular point lies over a residue field of degree 36, where the
+    # eta-gcd has 787-bit coefficients; the budget bounds the modular gcd
+    coeffs = {0: [-2, 2, -3], 1: [-1, -3], 2: [1, 1], 3: [1, 3], 4: [1, -2], 5: [-3, 1], 6: [-3, 1]}
+    section = {str(k): {"degree": len(c) - 1, "coeffs": c} for k, c in coeffs.items()}
+    job = {"command": "singular", "cover": {"r": 7}, "twist_degree": 2, "section": section}
+    started = time.monotonic()
+    doc = cli.run_job(job)
+    assert time.monotonic() - started < 5
+    assert doc["results"]["count"] == 1
 
 
 def test_benchmark_traced_functions_exist():

@@ -850,9 +850,10 @@ def test_kpoly_gcd():
 
 
 def test_kpoly_gcd_matches_euclid_oracle():
-    # a planted common factor c over number fields of degree 2-9
+    # a planted common factor c over number fields of degree 2-16, the
+    # degrees the singular-fields benchmark reaches
     rng = rng_for("kpoly-gcd")
-    for k in range(2, 10):
+    for k in range(2, 17):
         while True:
             mod = _rand_monic(rng, k, rational=k % 2 == 0)
             _, factors = factor_rational(mod)
@@ -879,6 +880,156 @@ def test_kpoly_gcd_matches_euclid_oracle():
         a = kpoly(3)
         assert exactalg.kpoly_gcd(a, []) == euclid_kpoly_gcd(a, [])
         assert exactalg.kpoly_gcd(a, a[:1]) == euclid_kpoly_gcd(a, a[:1])
+
+
+def _recorded_images(monkeypatch):
+    """(q, degree of the image mod q, or None when q is refused) for each
+    prime that kpoly_gcd reduces modulo, in order."""
+    seen = []
+    original = exactalg._gcd_image
+
+    def recorded(ai, bi, pm, q):
+        g = original(ai, bi, pm, q)
+        seen.append((q, None if g is None else len(g) - 1))
+        return g
+
+    monkeypatch.setattr(exactalg, "_gcd_image", recorded)
+    return seen
+
+
+def _kpoly(mod, *coeffs):
+    """An eta-polynomial over Q[w]/(mod), coefficients ascending, each a
+    UniPoly or a rational."""
+    return [reduce_mod(c if isinstance(c, UniPoly) else UniPoly.const(c), mod) for c in coeffs]
+
+
+def _nth_prime(i):
+    """The prime kpoly_gcd tries i-th, from 0."""
+    primes = exactalg._gcd_primes()
+    for _ in range(i):
+        next(primes)
+    return next(primes)
+
+
+_Q0 = _nth_prime(0)
+
+
+def test_gcd_primes_are_the_primes_below_2_62():
+    want, n = [], 2**62
+    while len(want) < len(exactalg._PRIME_OFFSETS) + 3:
+        n = sympy.prevprime(n)
+        want.append(n)
+    primes = exactalg._gcd_primes()
+    assert [next(primes) for _ in want] == want
+    assert _Q0 == 2**62 - 57
+
+
+def test_is_prime_matches_sympy():
+    # Carmichael numbers and strong pseudoprimes to the bases 2-7 and 2-23
+    tricky = [561, 41041, 825265, 3215031751, 3825123056546413051]
+    window = list(range(2**62 - 2000, 2**62 + 2)) + list(range(200))
+    for n in tricky + window:
+        assert exactalg._is_prime(n) == sympy.isprime(n), n
+
+
+def test_kpoly_gcd_skips_a_prime_where_the_modulus_is_not_squarefree(monkeypatch):
+    mod = up(-_Q0, 0, 1)  # w^2 - q0 = w^2 mod q0
+    w = UniPoly.x()
+    c = _kpoly(mod, -w, 1)
+    a, b = _kpoly_mul(c, _kpoly(mod, 1, 1)), _kpoly_mul(c, _kpoly(mod, w + 2, 3))
+    seen = _recorded_images(monkeypatch)
+    got = exactalg.kpoly_gcd(a, b)
+    assert got == euclid_kpoly_gcd(a, b) == c
+    assert seen[0] == (_Q0, None)
+
+
+def test_kpoly_gcd_skips_a_prime_dividing_a_leading_coefficient(monkeypatch):
+    mod = up(-2, 0, 1)
+    w = UniPoly.x()
+    c = _kpoly(mod, -w, 1)
+    a, b = _kpoly_mul(c, _kpoly(mod, 1, w, _Q0)), _kpoly_mul(c, _kpoly(mod, 3, 1))
+    seen = _recorded_images(monkeypatch)
+    got = exactalg.kpoly_gcd(a, b)
+    assert a[-1].value == UniPoly.const(_Q0)
+    assert got == euclid_kpoly_gcd(a, b) == c
+    assert seen[0] == (_Q0, None)
+
+
+def test_kpoly_gcd_drops_the_image_of_an_unlucky_prime(monkeypatch):
+    mod = up(1, 0, 1)
+    eta, shifted = _kpoly(mod, 0, 1), _kpoly(mod, -_Q0, 1)
+    seen = _recorded_images(monkeypatch)
+    # eta and eta - q0 are coprime over K, but equal mod q0
+    assert exactalg.kpoly_gcd(eta, shifted) == euclid_kpoly_gcd(eta, shifted) == _kpoly(mod, 1)
+    assert [d for _, d in seen] == [1, 0]
+    seen.clear()
+    c = _kpoly(mod, -1, 1)
+    a, b = _kpoly_mul(c, eta), _kpoly_mul(c, shifted)
+    assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b) == c
+    assert seen[0] == (_Q0, 2) and seen[1][1] == 1
+    # with eta - q0 q1, two unlucky images agree on eta^2 - eta, and only
+    # the exact division refutes it
+    seen.clear()
+    b = _kpoly_mul(c, _kpoly(mod, -_Q0 * _nth_prime(1), 1))
+    assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b) == c
+    assert [d for _, d in seen] == [2, 2, 1, 1]
+    # an unlucky image after a lucky one is dropped, not combined
+    seen.clear()
+    b = _kpoly_mul(c, _kpoly(mod, -_nth_prime(1), 1))
+    assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b) == c
+    assert [d for _, d in seen] == [1, 2, 1]
+
+
+def test_kpoly_gcd_skips_a_prime_in_a_denominator(monkeypatch):
+    w = UniPoly.x()
+    # q0 in a denominator of the modulus w^2 + 1/q0, then of an input
+    for mod, lead in ((UniPoly([F(1, _Q0), 0, 1]), 1), (up(2, 0, 1), F(1, _Q0))):
+        c = _kpoly(mod, w, 1)
+        a, b = _kpoly_mul(c, _kpoly(mod, 1, lead)), _kpoly_mul(c, _kpoly(mod, w, 5))
+        seen = _recorded_images(monkeypatch)
+        assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b) == c
+        assert seen[0][0] != _Q0
+
+
+def test_kpoly_gcd_recovers_large_coefficients_from_several_primes(monkeypatch):
+    rng = rng_for("kpoly-gcd-large")
+    mod = UniPoly([F(3, 2), F(-1, 3), 0, 1])  # w^3 - w/3 + 3/2, irreducible
+    assert factor_rational(mod)[1] == [(mod, 1)]
+
+    def big():
+        return UniPoly([F(rng.getrandbits(300) - 2**299, rng.getrandbits(300) | 1) for _ in range(3)])
+
+    c = _kpoly(mod, big(), big(), 1)
+    a = _kpoly_mul(c, _kpoly(mod, UniPoly([1, 2]), 1))
+    b = _kpoly_mul(c, _kpoly(mod, -3, UniPoly([0, 1]), 1))
+    seen = _recorded_images(monkeypatch)
+    got = exactalg.kpoly_gcd(a, b)
+    assert got == euclid_kpoly_gcd(a, b) == c
+    # a 300-bit numerator over a 300-bit denominator is recovered modulo
+    # M > 2^601 only, a product of at least ten primes below 2^62
+    assert max(x.numerator.bit_length() for e in c for x in e.value.coeffs) >= 290
+    assert len(seen) >= 10
+
+
+def test_kpoly_gcd_with_a_zero_or_constant_argument():
+    mod = up(-3, 1, 0, 1)
+    w = UniPoly.x()
+    a = _kpoly(mod, w, F(2, 3), w * w + 1)
+    for b in ([], _kpoly(mod, w + 5)):
+        assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b)
+        assert exactalg.kpoly_gcd(b, a) == euclid_kpoly_gcd(b, a)
+    assert exactalg.kpoly_gcd(a, [])[-1].value == UniPoly.one()
+    assert exactalg.kpoly_gcd(a, _kpoly(mod, 7)) == _kpoly(mod, 1)
+    assert exactalg.kpoly_gcd([], []) == []
+
+
+def test_kpoly_gcd_refuses_a_reducible_modulus():
+    mod = up(0, -1, 1)  # w^2 - w: w is a zero divisor at every prime
+    a, b = _kpoly(mod, 1, UniPoly.x()), _kpoly(mod, 1, 1)
+    with pytest.raises(InternalCheckError):
+        exactalg.kpoly_gcd(a, b)
+    with pytest.raises(ModulusError):
+        exactalg.kpoly_gcd(a, _kpoly(up(1, 0, 1), 1, 1))
 
 
 _W, _ETA = sympy.symbols("w eta")
