@@ -311,7 +311,7 @@ def _run_stability(job, chart):
         "total": sz.hilbert_to_json(hilbert_poly(SplitBundle(graded), ample)),
         "graded_degrees": list(graded),
         "records": [sz.record_to_json(rec) for rec in search.records],
-        "search_complete": True,  # kept in the schema; the base-value search always succeeds
+        "search_complete": True,  # kept in the schema; the branches are read off, not searched for
         "integrality": sz.integrality_to_json(integrality),
     }
     warnings = []

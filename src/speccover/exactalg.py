@@ -273,17 +273,6 @@ class UniPoly(_Poly):
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: UniPoly) -> UniPoly:
-        """self(inner(w)), exact."""
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.const(c)
-        return acc
-
-    def shift(self, c) -> UniPoly:
-        """Taylor shift: returns p(w + c)."""
-        return self.compose(UniPoly((as_rat(c), 1)))
-
     def str_in(self, var: str) -> str:
         if self.is_zero():
             return "0"
@@ -678,13 +667,6 @@ class EtaPoly(_Poly):
         """Evaluate the base variable, leaving a polynomial in eta over Q."""
         w0 = as_rat(w0)
         return UniPoly(tuple(c.evaluate(w0) for c in self.coeffs))
-
-    def eval_poly(self, lam: UniPoly) -> UniPoly:
-        """Substitute eta = lam(w); returns an element of Q[w]."""
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
 
     def content(self) -> UniPoly:
         g = UniPoly.zero()
@@ -1529,13 +1511,23 @@ def vanishes_at(f: EtaPoly, x: ExtElem) -> bool:
     """Whether f(w, x) = 0 in K = Q[w]/(p), for f in Q[w][eta] of degree n.
 
     With x = a/d, a in Z[w], and D f in Z[w][eta], Horner's rule over Z[w]
-    gives H = D d^n f(x) unreduced, and f(x) = 0 exactly when p divides H.
-    Integers make this several times cheaper than Horner's rule in K.
+    computes H = D d^n f(x), and f(x) = 0 exactly when p divides H.  The
+    accumulator is pseudo-reduced modulo pm, the primitive integer multiple
+    of p, whenever it reaches deg pm; ``scale`` collects the powers of
+    lc(pm) this brings in and multiplies each new term, so acc = scale * H
+    (mod pm) throughout.  As deg acc < deg pm at the end, acc is zero
+    exactly when p divides H.  Integers make this several times cheaper
+    than Horner's rule in K.
     """
     d = lcm(*(c.denominator for c in x.value.coeffs))
     a = _ZPoly(c.numerator * (d // c.denominator) for c in x.value.coeffs)
     den = lcm(*(c.denominator for p in f.coeffs for c in p.coeffs))
+    pm = _to_int_poly(x.modulus)
+    scale = 1
     acc = _ZPoly()
     for i, p in enumerate(reversed(f.coeffs)):
-        acc = acc * a + _ZPoly(c.numerator * (den // c.denominator) * d**i for c in p.coeffs)
-    return not _pl_pseudo_rem(list(acc.coeffs), _to_int_poly(x.modulus))
+        acc = acc * a + _ZPoly(scale * c.numerator * (den // c.denominator) * d**i for c in p.coeffs)
+        if len(acc.coeffs) >= len(pm):
+            scale *= pm[-1] ** (len(acc.coeffs) - len(pm) + 1)
+            acc = _ZPoly(_pl_pseudo_rem(list(acc.coeffs), pm))
+    return not acc

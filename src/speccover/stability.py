@@ -5,6 +5,8 @@ Hilbert polynomial is affine in the twisting exponent and all comparisons
 are exact.  Invariant subsheaves are searched directly in two families:
 block subsheaves coming from summands of the upstairs bundle, and eigen
 lines attached to polynomial eigenvalue branches of the curve equation.
+The branches and the integrality of the curve are read off the cover's
+field structure, without a search (see ``polynomial_eta_roots``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .errors import (
     PullbackSectionError,
     UnsupportedCoverError,
 )
-from .exactalg import EtaPoly, PolyMatrix, UniPoly, as_rat, poly_gcd, rational_roots
+from .exactalg import PolyMatrix, UniPoly, as_rat, poly_gcd
+from .factorization import intermediate_factorization
 from .spectral import SpectralCurve, spectral_curve
 
 STABLE = "stable"
@@ -108,75 +111,22 @@ def graded_degrees(m_degrees: SplitBundle, r: int) -> tuple[int, ...]:
 # polynomial eigenvalue branches
 
 
-def _truncate(p: UniPoly, n: int) -> UniPoly:
-    return UniPoly(p.coeffs[:n])
-
-
-def _series_inv(u: UniPoly, n: int) -> UniPoly:
-    if not u.coeffs or u.coeffs[0] == 0:
-        raise InternalCheckError("series inversion needs a unit constant term")
-    v = UniPoly.const(1 / u.coeffs[0])
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        v = _truncate(v * (UniPoly.const(2) - _truncate(u * v, prec)), prec)
-    return v
-
-
-def _lift_series_root(shifted, eta0: Fraction, order: int) -> UniPoly:
-    """Newton lifting of a simple root of an eta-polynomial over power series."""
-    lam = UniPoly.const(eta0)
-    deriv = shifted.derivative()
-    prec = 1
-    while prec < order:
-        prec = min(2 * prec, order)
-        val = _truncate(shifted.eval_poly(lam), prec)
-        if val.is_zero():
-            continue
-        inv = _series_inv(_truncate(deriv.eval_poly(lam), prec), prec)
-        lam = _truncate(lam - val * inv, prec)
-    return lam
-
-
-@dataclass(frozen=True)
-class RootSearch:
-    """All polynomial eigenvalue branches of the reduced curve equation.
-
-    ``base`` is the unramified base value they were lifted from; it is None
-    for a curve of eta-degree one, whose one branch is read off directly.
-    """
-
-    roots: tuple[UniPoly, ...]
-    base: Fraction = None
-
-
-def polynomial_eta_roots(sec: SectionData, curve: SpectralCurve) -> RootSearch:
+def polynomial_eta_roots(sec: SectionData, curve: SpectralCurve) -> tuple:
     """All roots of the reduced curve equation that are polynomial in the base.
 
-    ``curve`` is ``spectral_curve(sec)``.  A polynomial branch takes a
-    rational value at any rational base point, so lifting every rational
-    fiber root at the curve's witness base, where the fiber is squarefree,
-    and then verifying the truncations by exact substitution is exhaustive.
-    A branch has degree <= d in w, since the eta^j coefficient has degree
-    <= (n - j) d, so it equals its Taylor series at the base to order
-    d + 1 and the lift stops there; the substitution still decides.
+    ``curve`` is ``spectral_curve(sec)``.  The premise is the standard
+    cyclic cover: there the chart-0 algebra Q[w][z]/(z^r - w) is a domain
+    with fraction field Q(z), so the reduced equation m is the minimal
+    polynomial of sigma over Q(w) and is irreducible over Q(w).  A root
+    lambda(w) in Q[w] is then a linear factor of m, which exists only when m
+    has eta-degree one: the one branch -m_0, m being monic.  At any higher
+    eta-degree there is none.
     """
     _require_standard(sec)
-    d = sec.twist_degree
     form = curve.annihilating
-    f = form.dehomogenize(0)
-    if form.degree == 1:
-        return RootSearch((UniPoly.zero() - f.coeff(0),))
-    base = curve.witness_base
-    shifted = EtaPoly(tuple(c.shift(base) for c in f.coeffs))
-    roots = []
-    for eta0, _ in rational_roots(f.at_base(base)):
-        lam = _lift_series_root(shifted, eta0, d + 1)
-        cand = lam.compose(UniPoly((-base, 1)))
-        if cand.degree() <= d and f.eval_poly(cand).is_zero():
-            roots.append(cand)
-    roots.sort(key=lambda p: (p.degree(), p.coeffs))
-    return RootSearch(tuple(roots), base)
+    if form.degree > 1:
+        return ()
+    return (UniPoly.zero() - form.dehomogenize(0).coeff(0),)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +236,7 @@ def _line_degree(vec, degrees) -> int:
 
 
 def invariant_subsheaf_search(
-    m_degrees: SplitBundle, sec: SectionData, roots: RootSearch, ample_degree: int = 1
+    m_degrees: SplitBundle, sec: SectionData, roots: tuple, ample_degree: int = 1
 ) -> SearchResult:
     """Block subsheaves and polynomial eigen lines of the induced Higgs pair.
 
@@ -320,7 +270,7 @@ def invariant_subsheaf_search(
     # multiplication matrix; only the degrees of its classes depend on it
     block = mult_matrix(sec, 0)
     eigen = []
-    for lam in roots.roots:
+    for lam in roots:
         shifted_rows = [
             [block.rows[i][j] - lam if i == j else block.rows[i][j] for j in range(r)]
             for i in range(r)
@@ -373,32 +323,18 @@ class IntegralityReport:
     reasons: tuple = ()
 
 
-def certify_integrality(
-    sec: SectionData, curve: SpectralCurve, roots: RootSearch
-) -> IntegralityReport:
+def certify_integrality(sec: SectionData, curve: SpectralCurve) -> IntegralityReport:
     """Certificate that the spectral curve is reduced and irreducible.
 
-    ``curve`` is ``spectral_curve(sec)`` and ``roots`` its
-    ``polynomial_eta_roots``.  The curve of a degree-one cover is a graph,
-    hence integral.  Otherwise the certificate needs the support gcd to be 1
-    (the curve equation is not a proper power and the fiber values form a
-    single orbit) and an eigenvalue search that finds no polynomial branch.
+    ``curve`` is ``spectral_curve(sec)``.  The curve equation is m^g with
+    g = gcd(r, support) and m irreducible (see ``polynomial_eta_roots``), so
+    the curve is integral exactly when g = 1; a degree-one cover has g = 1,
+    its curve being a graph.
     """
-    from .factorization import intermediate_factorization
-
-    r = sec.cover.degree
-    if r == 1:
+    g = intermediate_factorization(sec, curve).subcover_index
+    if g == 1:
         return IntegralityReport(True)
-    report = intermediate_factorization(sec, curve)
-    reasons = []
-    if report.subcover_index > 1:
-        reasons.append(
-            f"curve equation is a proper power (exponent {report.subcover_index})"
-        )
-        return IntegralityReport(False, tuple(reasons))
-    if roots.roots:
-        reasons.append("a polynomial eigenvalue branch splits off a component")
-    return IntegralityReport(not reasons, tuple(reasons))
+    return IntegralityReport(False, (f"curve equation is a proper power (exponent {g})",))
 
 
 def _total_poly(m_degrees: SplitBundle, r: int, ample_degree: int) -> HilbertPoly:
@@ -423,7 +359,7 @@ def gieseker_verdict(
     curve = spectral_curve(sec)
     roots = polynomial_eta_roots(sec, curve)
     search = invariant_subsheaf_search(m_degrees, sec, roots, ample_degree)
-    integrality = certify_integrality(sec, curve, roots)
+    integrality = certify_integrality(sec, curve)
     total = _total_poly(m_degrees, r, ample_degree)
     above = [rec for rec in search.records if precedes(total, rec.hilbert, strict=True)]
     equal = [rec for rec in search.records if rec.hilbert == total]

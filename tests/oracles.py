@@ -6,7 +6,8 @@ over Q[w] and Q[w][eta] by one remainder sequence, the multiplication matrix
 class by class, the annihilating polynomial by matrix powers, the
 annihilation check by Horner over Q[w], the triple-cover criterion, points
 of the source mapped onto the curve, residue-field inverses and gcds by
-rational Euclid), or a helper that builds and recombines test sections on
+rational Euclid, polynomial eigenvalue branches by Newton lifting), or a
+helper that builds and recombines test sections on
 the standard cyclic cover.
 """
 
@@ -36,6 +37,7 @@ from speccover.exactalg import (
     _prs_resultant,
     eta_gcd,
     kpoly_from_etapoly,
+    rational_roots,
     reduce_mod,
 )
 from speccover.spectral import CharData, EtaForm, SingularPoint, invariant_sections
@@ -249,6 +251,81 @@ def annihilates_unit_by_horner(a: PolyMatrix, poly: EtaPoly) -> bool:
         vec = a.apply(vec)
         vec[0] = vec[0] + c
     return all(e.is_zero() for e in vec)
+
+
+# ---------------------------------------------------------------------------
+# polynomial eigenvalue branches by Newton lifting
+
+
+def compose(p: UniPoly, inner: UniPoly) -> UniPoly:
+    """p(inner(w)), exact."""
+    acc = UniPoly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * inner + UniPoly.const(c)
+    return acc
+
+
+def shift(p: UniPoly, c) -> UniPoly:
+    """Taylor shift: returns p(w + c)."""
+    return compose(p, UniPoly((Fraction(c), 1)))
+
+
+def eval_poly(f: EtaPoly, lam: UniPoly) -> UniPoly:
+    """Substitute eta = lam(w) in f; returns an element of Q[w]."""
+    acc = UniPoly.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * lam + c
+    return acc
+
+
+def truncate(p: UniPoly, n: int) -> UniPoly:
+    return UniPoly(p.coeffs[:n])
+
+
+def series_inv(u: UniPoly, n: int) -> UniPoly:
+    """Inverse of a power series with a unit constant term, modulo w^n."""
+    if not u.coeffs or u.coeffs[0] == 0:
+        raise InternalCheckError("series inversion needs a unit constant term")
+    v = UniPoly.const(1 / u.coeffs[0])
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        v = truncate(v * (UniPoly.const(2) - truncate(u * v, prec)), prec)
+    return v
+
+
+def lift_series_root(shifted: EtaPoly, eta0: Fraction, order: int) -> UniPoly:
+    """Newton lifting of a simple root of an eta-polynomial over power series."""
+    lam = UniPoly.const(eta0)
+    deriv = shifted.derivative()
+    prec = 1
+    while prec < order:
+        prec = min(2 * prec, order)
+        val = truncate(eval_poly(shifted, lam), prec)
+        if val.is_zero():
+            continue
+        inv = series_inv(truncate(eval_poly(deriv, lam), prec), prec)
+        lam = truncate(lam - val * inv, prec)
+    return lam
+
+
+def polynomial_branches_by_lifting(f: EtaPoly, base, d: int) -> tuple:
+    """Every root of f in Q[w] of degree <= d, sorted by degree.
+
+    f(base, eta) must be squarefree.  A polynomial branch takes a rational
+    value at the base, so lifting every rational fibre root there to order
+    d + 1 and keeping the truncations that substitute to zero is
+    exhaustive; f need not be irreducible.
+    """
+    base = Fraction(base)
+    shifted = EtaPoly(tuple(shift(c, base) for c in f.coeffs))
+    roots = []
+    for eta0, _ in rational_roots(f.at_base(base)):
+        cand = compose(lift_series_root(shifted, eta0, d + 1), UniPoly((-base, 1)))
+        if cand.degree() <= d and eval_poly(f, cand).is_zero():
+            roots.append(cand)
+    roots.sort(key=lambda p: (p.degree(), p.coeffs))
+    return tuple(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -499,8 +499,8 @@ def test_each_curve_job_takes_one_squarefree_part(monkeypatch):
 
 def test_each_curve_job_finds_one_witness_base(monkeypatch):
     # the squarefree part walks the base values 0, 1, -1, ... once, up to the
-    # witness base it keeps on the curve; the birationality verdict and the
-    # eigenvalue search read it off the curve instead of walking again
+    # witness base it keeps on the curve; the birationality verdict reads it
+    # off the curve instead of walking again
     from speccover import exactalg
 
     fibres = _count_everywhere(monkeypatch, exactalg, "_fibre_exponent", lambda args, out: args[0])
@@ -514,6 +514,23 @@ def test_each_curve_job_finds_one_witness_base(monkeypatch):
         assert len(fibres) == walk.index(found[0]) + 1, job["command"]
         if job["command"] == "factor":
             assert doc["results"]["birationality"]["witness_base"] == str(found[0])
+
+
+def test_stability_job_factors_nothing(monkeypatch):
+    # the polynomial branches and the integrality certificate are read off
+    # the curve's eta-degree and support gcd, so no fibre is factored
+    from speccover import exactalg
+
+    calls = _count_everywhere(monkeypatch, exactalg, "factor_rational", lambda args, out: args[0])
+    stability = [job for job in curve_jobs() if job["command"] == "stability"]
+    base = dict(stability[0], m_degrees=[0, 1])
+    pullback = dict(base, section={"0": {"degree": 2, "coeffs": [1, -2, 3]}})
+    proper = dict(base, cover={"r": 4}, section={"2": {"degree": 1, "coeffs": [1, 2]}})
+    for job in stability + [pullback, proper]:
+        calls.clear()
+        results = cli.run_job(job)["results"]
+        assert calls == [], job["section"]
+        assert results["integrality"]["certified"] == (job is stability[0])
 
 
 @pytest.mark.parametrize("r", [16, 32])

@@ -131,9 +131,6 @@ def test_unipoly_exact_div_raises_on_remainder():
 def test_unipoly_evaluate_and_compose():
     p = up(1, -1, 2)  # 1 - w + 2w^2
     assert p.evaluate(F(1, 2)) == 1 - F(1, 2) + 2 * F(1, 4)
-    inner = up(3, 1)
-    assert p.compose(inner).evaluate(0) == p.evaluate(3)
-    assert p.shift(5).evaluate(-5) == p.evaluate(0)
 
 
 def test_poly_gcd_and_xgcd():
@@ -1133,15 +1130,18 @@ def test_pseudo_rem_matches_sympy_over_z_and_qw():
 
 
 def test_vanishes_at_matches_horner_in_the_residue_field():
-    # f(x) = 0 in K by integer Horner and one pseudo-remainder, against
-    # Horner's rule in K itself; every other f is made to vanish at x
+    # f(x) = 0 in K by integer Horner, pseudo-reduced modulo the integer
+    # modulus (non-monic for the rational moduli) as it goes, against Horner's
+    # rule in K itself; f has eta-degree 8 or more, so every run reduces many
+    # times, and every other f is made to vanish at x
     rng = rng_for("vanishes-at")
     hits = 0
     for k in range(2, 8):
         mod = _rand_monic(rng, k, rational=k % 2 == 0)
         for trial in range(6):
             x = _rand_elem(rng, mod)
-            f = EtaPoly([rand_unipoly(rng, 3) * F(1, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))])
+            f = EtaPoly([rand_unipoly(rng, 3) * F(1, rng.randint(1, 4)) for _ in range(rng.randint(8, 11))]
+                        + [rand_unipoly(rng, 3, nonzero=True)])
             if trial % 2 == 0:
                 f = f * EtaPoly((-x.value, UniPoly.one()))
             acc = reduce_mod(UniPoly.zero(), mod)

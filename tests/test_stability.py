@@ -1,11 +1,21 @@
 """Tests for Hilbert polynomials, subsheaf search, and stability verdicts."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import F, bf, char_poly_by_elimination, rand_binform, rng_for, up
-from oracles import block_matrix_by_classes
+from oracles import (
+    block_matrix_by_classes,
+    compose,
+    eval_poly,
+    lift_series_root,
+    polynomial_branches_by_lifting,
+    series_inv,
+    shift,
+    truncate,
+)
 from speccover.covers import SectionData, SplitBundle, make_standard_cyclic, mult_matrix
 from speccover.errors import DegreeError, PullbackSectionError, UnsupportedCoverError
 from speccover.exactalg import BinForm, PolyMatrix, UniPoly, char_poly_matrix
@@ -21,12 +31,9 @@ from speccover.stability import (
     polynomial_eta_roots,
     precedes,
     pushforward_relation_check,
-    _lift_series_root,
-    _series_inv,
-    _truncate,
 )
 from speccover.exactalg import EtaPoly
-from speccover.spectral import CharData, EtaForm, SpectralCurve, spectral_curve
+from speccover.spectral import spectral_curve
 
 
 def section(r, d, comps):
@@ -42,8 +49,7 @@ def subsheaves(m_degrees, sec):
 
 
 def integrality_of(sec):
-    curve = spectral_curve(sec)
-    return certify_integrality(sec, curve, polynomial_eta_roots(sec, curve))
+    return certify_integrality(sec, spectral_curve(sec))
 
 
 def conic(f):
@@ -163,31 +169,25 @@ def test_graded_degrees_concatenates():
 
 
 def test_conic_has_no_polynomial_roots():
-    search = roots_of(conic(bf(1, [1, 1])))
-    assert search.roots == ()
-    assert search.base is not None
+    assert roots_of(conic(bf(1, [1, 1]))) == ()
 
 
 def test_pullback_root_is_the_scalar():
     sec = section(2, 1, {0: bf(1, [2, 3])})
-    search = roots_of(sec)
-    assert search.roots == (up(2, 3),)
+    assert roots_of(sec) == (up(2, 3),)
 
 
 def test_zero_section_root():
-    search = roots_of(section(3, 2, {}))
-    assert search.roots == (UniPoly.zero(),)
+    assert roots_of(section(3, 2, {})) == (UniPoly.zero(),)
 
 
 def test_identity_cover_root():
     sec = section(1, 2, {0: bf(2, [1, 0, -1])})
-    assert roots_of(sec).roots == (up(1, 0, -1),)
+    assert roots_of(sec) == (up(1, 0, -1),)
 
 
 def test_quartic_support_two_has_no_roots():
-    search = roots_of(section(4, 2, {2: bf(1, [1, 2])}))
-    assert search.roots == ()
-    assert search.base is not None
+    assert roots_of(section(4, 2, {2: bf(1, [1, 2])})) == ()
 
 
 def test_root_search_passes_twenty_ramified_bases():
@@ -198,39 +198,70 @@ def test_root_search_passes_twenty_ramified_bases():
     for v in vals:
         f = f * up(-v, 1)
     sec = conic(BinForm(20, list(f.coeffs)))
-    search = roots_of(sec)
-    assert search.base == -10
-    assert search.roots == ()
+    assert spectral_curve(sec).witness_base == -10
+    assert roots_of(sec) == ()
+
+
+# the Newton lift of tests/oracles.py, which finds every polynomial branch
+# of any eta-polynomial, reducible or not
+
+
+def test_oracle_compose_and_shift():
+    p = up(1, -1, 2)  # 1 - w + 2w^2
+    inner = up(3, 1)
+    assert compose(p, inner).evaluate(0) == p.evaluate(3)
+    assert shift(p, 5).evaluate(-5) == p.evaluate(0)
 
 
 def test_series_inverse():
     u = up(1, 1)  # 1 + w
-    v = _series_inv(u, 6)
-    assert _truncate(u * v, 6) == up(1)
+    v = series_inv(u, 6)
+    assert truncate(u * v, 6) == up(1)
 
 
 def test_series_lift_recovers_polynomial_branch():
     # (eta - w^2)(eta^2 - 3w) has the polynomial branch w^2 through w0 = 1
     f = EtaPoly((up(0, 0, 0, 3), up(0, -3), up(0, 0, -1), up(1)))
-    shifted = EtaPoly(tuple(c.shift(1) for c in f.coeffs))
-    lam = _lift_series_root(shifted, Fraction(1), 7)
-    cand = _truncate(lam, 3).compose(up(-1, 1))
+    shifted = EtaPoly(tuple(shift(c, 1) for c in f.coeffs))
+    lam = lift_series_root(shifted, Fraction(1), 7)
+    cand = compose(truncate(lam, 3), up(-1, 1))
     assert cand == up(0, 0, 1)
-    assert f.eval_poly(cand).is_zero()
+    assert eval_poly(f, cand).is_zero()
 
 
 def test_root_search_finds_a_branch_of_degree_exactly_d():
     # (eta - lam)(eta^2 - 3w) with deg lam = d, lifted at w0 = 1: the lift
-    # must reach order d + 1 to see lam's top coefficient
+    # must reach order d + 1 to see lam's top coefficient.  No section gives
+    # such a reducible curve (see test_polynomial_branches_match_the_lift)
     for d in (1, 2, 3):
         lam = up(*([1] + [0] * (d - 1) + [1]))  # w^d + 1
         f = EtaPoly((up(0, 3) * lam, up(0, -3), -lam, up(1)))
-        form = EtaForm.from_chart(f, d, 0)
-        char = CharData(3, d, [-form.coeff(2), form.coeff(1), -form.coeff(0)])
-        curve = SpectralCurve(char, form, witness_base=Fraction(1))
-        search = polynomial_eta_roots(section(3, d, {}), curve)
-        assert search.roots == (lam,)
-        assert search.base == 1
+        assert polynomial_branches_by_lifting(f, 1, d) == (lam,)
+
+
+def test_polynomial_branches_match_the_lift():
+    # on the standard cover the reduced equation is irreducible over Q(w):
+    # the lift finds no branch past eta-degree one, the read-off agrees
+    # with it everywhere, and the curve is integral exactly when g = 1
+    rng = rng_for("branches-by-lifting")
+    seen = set()
+    for _ in range(200):
+        r = rng.randint(2, 6)
+        d = rng.randint(1, 4)
+        support = rng.sample(range(r), rng.randint(1, r))
+        comps = {k: rand_binform(rng, d if k == 0 else d - 1, nonzero=True) for k in support}
+        sec = section(r, d, comps)
+        curve = spectral_curve(sec)
+        lifted = polynomial_branches_by_lifting(
+            curve.annihilating.dehomogenize(0), curve.witness_base, d
+        )
+        if curve.annihilating.degree > 1:
+            assert lifted == ()
+        assert polynomial_eta_roots(sec, curve) == lifted
+        g = gcd(r, *(k for k in support if k))
+        assert certify_integrality(sec, curve).certified == (g == 1)
+        seen.add((g == 1, curve.annihilating.degree == 1))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 # ---------------------------------------------------------------------------
