@@ -80,6 +80,9 @@ def _canon_pair(a: Char, b: Char):
     return (a, b) if a <= b else (b, a)
 
 
+_UNIT_FORM = BinForm.const(1)
+
+
 @dataclass(frozen=True)
 class CoverAlgebra:
     """Pushforward algebra of a finite abelian cover of the projective line.
@@ -128,11 +131,13 @@ class CoverAlgebra:
         return self.twist_degrees[self.group.as_char(rho)]
 
     def structure_form(self, a, b) -> BinForm:
-        a = self.group.as_char(a)
-        b = self.group.as_char(b)
+        return self._form(self.group.as_char(a), self.group.as_char(b))
+
+    def _form(self, a: Char, b: Char) -> BinForm:
+        """``structure_form`` of two characters already in normal form."""
         iden = self.group.identity()
         if a == iden or b == iden:
-            return BinForm.const(1)
+            return _UNIT_FORM
         form = self.structure_forms.get(_canon_pair(a, b))
         if form is None:
             raise ShapeError(f"no structure form stored for pair ({a}, {b})")
@@ -384,21 +389,30 @@ def mult_matrix(sec: SectionData, chart: int = 0) -> PolyMatrix:
     Rows and columns are indexed by the characters in lexicographic order.
     The component at rho sends the rho' summand into the (rho + rho') one
     with coefficient h_rho * c(rho, rho'), dehomogenized on the chosen chart.
+    The products are summed on coefficient lists, and each entry becomes a
+    UniPoly once, at the end.
     """
+    if chart not in (0, 1):
+        raise ValueError("chart must be 0 or 1")
+    order = 1 if chart == 0 else -1  # chart 1 reads each form's coefficients reversed
     alg = sec.cover
     group = alg.group
     chars = group.elements()
     index = {rho: i for i, rho in enumerate(chars)}
     n = len(chars)
-    rows = [[UniPoly.zero() for _ in range(n)] for _ in range(n)]
+    rows = [[[] for _ in range(n)] for _ in range(n)]
     for rho, form in sec.components.items():
-        h = form.dehomogenize(chart)
-        for col_char in chars:
-            c = alg.structure_form(rho, col_char).dehomogenize(chart)
-            i = index[group.add(rho, col_char)]
-            j = index[col_char]
-            rows[i][j] = rows[i][j] + h * c
-    return PolyMatrix(rows)
+        h = form.coeffs[::order]
+        for j, col_char in enumerate(chars):
+            c = alg._form(rho, col_char).coeffs[::order]
+            acc = rows[index[group.add(rho, col_char)]][j]
+            acc.extend([0] * (len(h) + len(c) - 1 - len(acc)))
+            for a, x in enumerate(h):
+                if x:
+                    for b, y in enumerate(c):
+                        if y:
+                            acc[a + b] += x * y
+    return PolyMatrix([[UniPoly(e) for e in row] for row in rows])
 
 
 def pushforward_line_bundle(r: int, m: int) -> SplitBundle:

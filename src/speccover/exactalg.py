@@ -21,12 +21,13 @@ Conventions used by the whole package:
 The kernels over Q[w] work at integer points: `char_poly_matrix` and
 `resultant` evaluate at w = 0, 1, ..., D for a degree bound D, compute over
 Z, and interpolate exactly; `annihilates_unit` checks that an integer
-vector vanishes at those points; `min_poly_matrix` takes the squarefree
-part as an exact k-th root, certified at one base value.  No production
-path runs a remainder sequence over Q[w].  `kpoly_gcd`, the gcd over a
-residue field Q[w]/(p), runs Euclid modulo primes below 2^62 on plain
-ints, recovers the rational coefficients, and certifies the result by
-exact division over Z.
+vector vanishes at those points, reusing the matrix values that
+`char_poly_matrix` computed; `min_poly_matrix` takes the squarefree part
+as an exact k-th root, certified at one base value and by an exact power
+check over Z[w][eta].  No production path runs a remainder sequence over
+Q[w].  `kpoly_gcd`, the gcd over a residue field Q[w]/(p), runs Euclid
+modulo primes below 2^62 on plain ints, recovers the rational
+coefficients, and certifies the result by exact division over Z.
 """
 
 from __future__ import annotations
@@ -312,6 +313,17 @@ class _ZPoly(_Poly):
 
     def __init__(self, coeffs: Iterable = ()):
         self.coeffs: tuple[int, ...] = tuple(_pl_trim(list(coeffs)))
+
+
+class _ZEtaPoly(_Poly):
+    """Polynomial in eta over Z[w], with ``_ZPoly`` coefficients."""
+
+    __slots__ = ()
+    _ZERO, _ONE = _ZPoly(), _ZPoly((1,))
+    _SCALARS = (_ZPoly,)
+
+    def __init__(self, coeffs: Iterable = ()):
+        self.coeffs: tuple[_ZPoly, ...] = tuple(_pl_trim(list(coeffs)))
 
 
 def _int_primitive(coeffs: list) -> list:
@@ -873,7 +885,7 @@ def resultant(f: EtaPoly, g: EtaPoly) -> UniPoly:
 class PolyMatrix:
     """Square matrix with UniPoly entries."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_integer")
 
     def __init__(self, rows: Sequence[Sequence[UniPoly]]):
         n = len(rows)
@@ -884,9 +896,17 @@ class PolyMatrix:
             fixed.append(tuple(e if isinstance(e, UniPoly) else UniPoly.const(as_rat(e)) for e in r))
         self.n = n
         self.rows: tuple[tuple[UniPoly, ...], ...] = tuple(fixed)
+        self._integer = None
 
     def entry(self, i: int, j: int) -> UniPoly:
         return self.rows[i][j]
+
+    def integer_form(self):
+        """``_integer_matrix(self)``, scaled on first use and kept with the
+        matrix, so every kernel that reads it shares its integer points."""
+        if self._integer is None:
+            self._integer = _integer_matrix(self)
+        return self._integer
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -964,15 +984,26 @@ def _interpolate_int(values: Sequence[int]) -> list[int]:
 def _integer_matrix(a: PolyMatrix):
     """(den, deg, at) for B = den * A in Z[w]: den the lcm of A's coefficient
     denominators, deg >= 0 the largest entry degree in w, and at(x) the
-    integer matrix B(x)."""
+    integer matrix B(x).
+
+    at(x) evaluates B at each point once and hands the same matrix to every
+    later caller, which must not change it.  The kernels reach this through
+    ``PolyMatrix.integer_form``, so the characteristic polynomial and the
+    annihilation check of one matrix scale it once and share the points
+    w = 0, 1, ... they both visit; the values live as long as the matrix.
+    """
     entries = [e for row in a.rows for e in row]
     den = lcm(*(c.denominator for e in entries for c in e.coeffs))
     deg = max(0, max(e.degree() for e in entries))
     scaled = [[[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row] for row in a.rows]
+    points = {}
 
     def at(x: int) -> list[list[int]]:
-        powers = [x**k for k in range(deg + 1)]
-        return [[sum(map(mul, cs, powers)) for cs in row] for row in scaled]
+        b = points.get(x)
+        if b is None:
+            powers = [x**k for k in range(deg + 1)]
+            b = points[x] = [[sum(map(mul, cs, powers)) for cs in row] for row in scaled]
+        return b
 
     return den, deg, at
 
@@ -987,7 +1018,7 @@ def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
     B(0), ..., B(i * e), and dividing it by den^i gives that of A.
     """
     n = a.n
-    den, deg, at = _integer_matrix(a)
+    den, deg, at = a.integer_form()
     samples = [_berkowitz(at(x)) for x in range(n * deg + 1)]
     coeffs = []
     for i in range(n + 1):
@@ -1042,9 +1073,11 @@ def annihilates_unit(a: PolyMatrix, poly: EtaPoly) -> bool:
     B, of degree at most j deg A, so each entry of u has degree at most
     D = max_j (deg c_j + j deg A) in w.  u(x) is found by Horner on an
     integer vector, v <- B(x) v, then v_0 += c_j(x), and a polynomial of
-    degree at most D that vanishes at D + 1 points is zero.
+    degree at most D that vanishes at D + 1 points is zero.  B and its
+    values B(x) come from ``a.integer_form()``: after ``char_poly_matrix``
+    of the same matrix, a point it visited is not evaluated again.
     """
-    den, deg, at = _integer_matrix(a)
+    den, deg, at = a.integer_form()
     pc = _int_coeff_lists(poly.coeffs)[0]
     e = len(pc) - 1
     cs = [[c * den ** (e - j) for c in p] for j, p in enumerate(pc)]
@@ -1096,6 +1129,22 @@ def _weight(f: EtaPoly) -> int:
     return max([0] + [-(-c.degree() // (n - j)) for j, c in enumerate(f.coeffs[:-1]) if c])
 
 
+def _is_kth_power(m: EtaPoly, k: int, char: EtaPoly) -> bool:
+    """Whether m^k == char in Q[w][eta], decided exactly over Z[w][eta].
+
+    With mden and cden the lcm of the coefficient denominators of m and
+    char, mden m and cden char have integer coefficients, and m^k == char
+    exactly when cden (mden m)^k == mden^k (cden char), coefficient by
+    coefficient.
+    """
+    (mi, mden), (ci, cden) = _int_coeff_lists(m.coeffs), _int_coeff_lists(char.coeffs)
+    power = _ZEtaPoly(_ZPoly(c) for c in mi) ** k
+    scale = mden**k
+    return len(power.coeffs) == len(ci) and all(
+        [cden * v for v in p.coeffs] == [scale * v for v in c] for p, c in zip(power.coeffs, ci)
+    )
+
+
 def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
     """Squarefree part m of ``char``, the characteristic polynomial of ``a``,
     and a witness base w0 where m(w0, eta) is squarefree.
@@ -1103,8 +1152,9 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
     The base values 0, 1, -1, 2, ... are walked in turn.  At each, the fibre
     char(w0, eta) suggests an exponent k, and m is taken as the k-th root
     of char by ``_kth_root``, if it has one.  m is accepted once m(w0, eta) is
-    squarefree and m^k == char: then m is squarefree over Q(w) and has the
-    roots of char, so m = sqfree(char), whatever k was guessed.  The
+    squarefree and m^k == char, compared exactly over Z[w][eta] by
+    ``_is_kth_power``: then m is squarefree over Q(w) and has the roots of
+    char, so m = sqfree(char), whatever k was guessed.  The
     accepted w0 is the first base where m(w0, eta) is squarefree: at an
     earlier base a root that passed both checks would be m itself.
 
@@ -1115,7 +1165,8 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
     walk that finds none has found a defect.
 
     m is also checked to annihilate the matrix with ``annihilates_unit``,
-    whose premise on ``a`` it inherits.
+    whose premise on ``a`` it inherits; that check reuses the integer
+    points at which ``char_poly_matrix`` evaluated ``a``.
     """
     n = char.degree()
     for i in range(n * (n - 1) * _weight(char) + 1):
@@ -1126,7 +1177,7 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
             continue
         minimal = EtaPoly(root)
         fibre = minimal.at_base(w0)
-        if poly_gcd(fibre, fibre.derivative()).degree() == 0 and minimal**k == char:
+        if poly_gcd(fibre, fibre.derivative()).degree() == 0 and _is_kth_power(minimal, k, char):
             break
     else:
         raise InternalCheckError("k-th root of the characteristic polynomial is not squarefree at any base")

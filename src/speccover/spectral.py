@@ -257,17 +257,23 @@ def _homogenized_eta(poly: EtaPoly, twist: int, chart: int, what: str) -> EtaFor
         )
 
 
-def invariant_sections(sec: SectionData) -> CharData:
+def _chart_matrices(sec: SectionData) -> tuple:
+    """The multiplication matrices of ``sec`` on charts 0 and 1."""
+    return mult_matrix(sec, 0), mult_matrix(sec, 1)
+
+
+def invariant_sections(sec: SectionData, mats: tuple = None) -> CharData:
     """Characteristic coefficients of the pushed-forward multiplication map.
 
     Computed independently on both affine charts; the two homogenizations
-    must agree form by form.
+    must agree form by form.  ``mats`` are the two charts' matrices, as
+    ``spectral_curve`` passes them; without it they are built here.
     """
     r = sec.cover.degree
     d = sec.twist_degree
     forms = []
-    for chart in (0, 1):
-        cp = char_poly_matrix(mult_matrix(sec, chart))
+    for chart, mat in enumerate(mats or _chart_matrices(sec)):
+        cp = char_poly_matrix(mat)
         forms.append(_homogenized_eta(cp, d, chart, "characteristic polynomial"))
     if forms[0].coeffs != forms[1].coeffs:
         raise InternalCheckError("charts disagree on the characteristic polynomial")
@@ -279,27 +285,30 @@ def invariant_sections(sec: SectionData) -> CharData:
     return CharData(r, d, elementary)
 
 
-def _reduced_part(sec: SectionData, char: CharData) -> tuple[EtaForm, Fraction]:
+def _reduced_part(mats: tuple, twist: int, char: CharData) -> tuple[EtaForm, Fraction]:
     """The reduced part m of ``char`` as a form, with its witness base.
 
-    ``min_poly_matrix`` takes m once, on chart 0, and certifies it: m is
-    squarefree at the witness base and char = m^k, which together prove
-    m = sqfree(char).  m(sigma) = 0 is checked in the cover algebra on both
-    charts, as m(M) e_0 = 0 by ``annihilates_unit``.  This is as strong as
-    m(M) = 0, because ``mult_matrix`` is the regular representation of a
-    commutative, associative algebra with unit e_0, the trivial character:
+    ``mats`` are the multiplication matrices M of the section on charts 0
+    and 1, and ``twist`` its twist degree.  ``min_poly_matrix`` takes m
+    once, on chart 0, and certifies it: m is squarefree at the witness base
+    and char = m^k, which together prove m = sqfree(char).  m(sigma) = 0 is
+    checked in the cover algebra on both charts, as m(M) e_0 = 0 by
+    ``annihilates_unit``.  This is as strong as m(M) = 0, because
+    ``mult_matrix`` is the regular representation of a commutative,
+    associative algebra with unit e_0, the trivial character:
     ``validate_algebra`` checks this for explicit covers, and the built-in
     constructors satisfy it by construction.
 
     The chart-1 check is not implied by the chart-0 one: it independently
     checks ``mult_matrix``'s chart-1 dehomogenization, which the two
     characteristic polynomials agreeing in ``invariant_sections`` does not
-    prove.  Taken over Z at integer points, it costs no more than the
-    chart-1 ``char_poly_matrix`` does.
+    prove.  It runs over Z at the integer points where the chart-1
+    ``char_poly_matrix`` already evaluated the same matrix, and reuses
+    those values, as the chart-0 check does those of chart 0.
     """
-    minimal, base = min_poly_matrix(mult_matrix(sec, 0), char.char_form().dehomogenize(0))
-    form = _homogenized_eta(minimal, sec.twist_degree, 0, "annihilating polynomial")
-    if not annihilates_unit(mult_matrix(sec, 1), form.dehomogenize(1)):
+    minimal, base = min_poly_matrix(mats[0], char.char_form().dehomogenize(0))
+    form = _homogenized_eta(minimal, twist, 0, "annihilating polynomial")
+    if not annihilates_unit(mats[1], form.dehomogenize(1)):
         raise InternalCheckError("annihilating polynomial fails to annihilate on chart 1")
     return form, base
 
@@ -310,18 +319,22 @@ def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
     ``char`` is ``invariant_sections(sec)``; see ``_reduced_part`` for the
     certificates.
     """
-    return _reduced_part(sec, char)[0]
+    return _reduced_part(_chart_matrices(sec), sec.twist_degree, char)[0]
 
 
 def spectral_curve(sec: SectionData) -> SpectralCurve:
     """Bundle the characteristic data with its reduced part m and the base
     value where m is certified squarefree.
 
-    Rank-1 input always gives the graph of a section, which is integral;
-    otherwise the integrality flag starts out uncertified.
+    Each chart's multiplication matrix is built once, and the
+    characteristic polynomial, the reduced part and both annihilation
+    checks all read it.  Rank-1 input always gives the graph of a section,
+    which is integral; otherwise the integrality flag starts out
+    uncertified.
     """
-    char = invariant_sections(sec)
-    annih, base = _reduced_part(sec, char)
+    mats = _chart_matrices(sec)
+    char = invariant_sections(sec, mats)
+    annih, base = _reduced_part(mats, sec.twist_degree, char)
     return SpectralCurve(char, annih, integral=(char.rank == 1), witness_base=base)
 
 

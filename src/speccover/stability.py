@@ -267,8 +267,9 @@ def invariant_subsheaf_search(
     records.sort(key=lambda rec: (len(rec.indices), rec.indices))
 
     # every summand's pushforward carries the same block on chart 0, the
-    # multiplication matrix; only the degrees of its classes depend on it
-    block = mult_matrix(sec, 0)
+    # multiplication matrix; only the degrees of its classes depend on it.
+    # Only an eigenvalue branch reads it, so it is built only for one.
+    block = mult_matrix(sec, 0) if roots else None
     eigen = []
     for lam in roots:
         shifted_rows = [

@@ -3,7 +3,7 @@
 Nothing in the package calls these.  Each one is either an independent way
 to compute something the package computes (the Sylvester matrix, resultants
 over Q[w] and Q[w][eta] by one remainder sequence, the multiplication matrix
-class by class, the annihilating polynomial by matrix powers, the
+class by class and form by form, the annihilating polynomial by matrix powers, the
 annihilation check by Horner over Q[w], the triple-cover criterion, points
 of the source mapped onto the curve, residue-field inverses and gcds by
 rational Euclid, polynomial eigenvalue branches by Newton lifting), or a
@@ -94,6 +94,31 @@ def resultant_coeffs(fc: Sequence, gc: Sequence):
     if not f or not g:
         return type((f or g)[0]).zero()
     return _prs_resultant(f, g)
+
+
+# ---------------------------------------------------------------------------
+# multiplication matrices
+
+
+def mult_matrix_by_forms(sec: SectionData, chart: int = 0) -> PolyMatrix:
+    """Matrix of multiplication by the section, entry by entry in UniPoly
+    arithmetic: the component at rho sends the rho' summand into the
+    (rho + rho') one with coefficient h_rho * c(rho, rho'), each structure
+    form fetched by ``CoverAlgebra.structure_form``."""
+    alg = sec.cover
+    group = alg.group
+    chars = group.elements()
+    index = {rho: i for i, rho in enumerate(chars)}
+    n = len(chars)
+    rows = [[UniPoly.zero() for _ in range(n)] for _ in range(n)]
+    for rho, form in sec.components.items():
+        h = form.dehomogenize(chart)
+        for col_char in chars:
+            c = alg.structure_form(rho, col_char).dehomogenize(chart)
+            i = index[group.add(rho, col_char)]
+            j = index[col_char]
+            rows[i][j] = rows[i][j] + h * c
+    return PolyMatrix(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,29 @@ def test_each_curve_job_finds_one_witness_base(monkeypatch):
             assert doc["results"]["birationality"]["witness_base"] == str(found[0])
 
 
+def test_each_curve_builds_each_chart_matrix_once(monkeypatch):
+    # spectral_curve builds the chart-0 and chart-1 matrices once and hands
+    # them to the characteristic polynomials, the reduced part and both
+    # annihilation checks, which scale each of them into Z[w] once; the
+    # stability search builds its block only for an eigenvalue branch,
+    # which needs eta-degree one, as a pullback has
+    from speccover import covers, exactalg
+
+    built = _count_everywhere(monkeypatch, covers, "mult_matrix", lambda args, out: out)
+    scaled = _count_everywhere(monkeypatch, exactalg, "_integer_matrix", lambda args, out: args[0])
+    jobs = list(curve_jobs())
+    stability = jobs[-1]
+    proper = dict(stability, cover={"r": 4}, section={"2": {"degree": 1, "coeffs": [1, 2]}})
+    pullback = dict(stability, section={"0": {"degree": 2, "coeffs": [1, -2, 3]}})
+    for job, want in [(job, 2) for job in jobs] + [(proper, 2), (pullback, 3)]:
+        built.clear()
+        scaled.clear()
+        cli.run_job(job)
+        assert len(built) == want, job["command"]
+        assert len(scaled) == 2, job["command"]
+        assert {id(mat) for mat in scaled} == {id(mat) for mat in built[:2]}, job["command"]
+
+
 def test_stability_job_factors_nothing(monkeypatch):
     # the polynomial branches and the integrality certificate are read off
     # the curve's eta-degree and support gcd, so no fibre is factored

@@ -1,9 +1,19 @@
 """Tests for the cover-algebra layer."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
-from conftest import bf, rand_binform, rng_for, up
-from oracles import add_sections, decompose_section, expand_section, is_pullback
+from conftest import bf, bidouble_cover, rand_binform, rng_for, up
+from oracles import (
+    add_sections,
+    block_matrix_by_classes,
+    decompose_section,
+    expand_section,
+    is_pullback,
+    mult_matrix_by_forms,
+)
 from speccover.covers import (
     AbelianGroup,
     CoverAlgebra,
@@ -260,6 +270,69 @@ def test_mult_matrix_additive_random():
         lhs = mult_matrix(add_sections(x, y))
         rows = zip(mult_matrix(x).rows, mult_matrix(y).rows)
         assert lhs.rows == tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in rows)
+
+
+def _rational_form(rng, degree):
+    return BinForm(degree, [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(degree + 1)])
+
+
+def _random_section(rng, cover, d):
+    """A section of twist d on the cover with rational coefficients, each
+    character carrying a component with probability 2/3."""
+    comps = {}
+    for rho in cover.characters():
+        want = d - cover.twist(rho)
+        if want >= 0 and rng.random() < 2 / 3:
+            comps[rho] = _rational_form(rng, want)
+    return SectionData(cover, d, comps)
+
+
+def test_mult_matrix_matches_form_by_form_oracle():
+    # the coefficient-list construction against UniPoly products of the
+    # structure forms, on every kind of cover and on both charts
+    rng = rng_for("mult-matrix-by-forms")
+    sections = []
+    for r in range(1, 9):
+        cover = make_standard_cyclic(r)
+        for _ in range(16):
+            sec = _random_section(rng, cover, rng.randint(1, 3))
+            assert mult_matrix(sec, 0) == block_matrix_by_classes(sec)
+            sections.append(sec)
+    for _ in range(32):
+        branch = _rational_form(rng, 2 * rng.randint(1, 2))
+        if branch.is_zero():
+            continue
+        cover = make_double_cover(branch)
+        sections.append(_random_section(rng, cover, cover.twist(1) + rng.randint(0, 2)))
+    for _ in range(32):
+        da = rng.randint(1, 3)
+        a, b = _rational_form(rng, da), _rational_form(rng, da + 3 * rng.randint(0, 1))
+        if a.is_zero() or b.is_zero():
+            continue
+        cover = make_cyclic_triple(a, b)
+        sections.append(_random_section(rng, cover, max(cover.twist(1), cover.twist(2)) + rng.randint(0, 1)))
+    bidouble = bidouble_cover()
+    assert validate_algebra(bidouble)
+    for _ in range(32):
+        sections.append(_random_section(rng, bidouble, rng.randint(1, 3)))
+    assert len(sections) >= 200
+    for sec in sections:
+        for chart in (0, 1):
+            assert mult_matrix(sec, chart) == mult_matrix_by_forms(sec, chart)
+
+
+def test_mult_matrix_names_a_missing_structure_form():
+    full = bidouble_cover()
+    a, b = (1, 0), (0, 1)
+    forms = {key: form for key, form in full.structure_forms.items() if key != (b, a)}
+    cover = CoverAlgebra(full.group, full.twist_degrees, forms)
+    assert not validate_algebra(cover)
+    sec = SectionData(cover, 1, {a: BinForm.const(2)})
+    for chart in (0, 1):
+        with pytest.raises(ShapeError, match=re.escape(f"pair ({a}, {b})")):
+            mult_matrix(sec, chart)
+        with pytest.raises(ShapeError, match=re.escape(f"pair ({a}, {b})")):
+            mult_matrix_by_forms(sec, chart)
 
 
 # ---------------------------------------------------------------------------

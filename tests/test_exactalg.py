@@ -740,6 +740,45 @@ def test_annihilates_unit_sees_the_last_point():
         assert not annihilates_unit(a, perturbed)
 
 
+def test_integer_points_are_shared_by_the_kernels():
+    # char_poly_matrix and annihilates_unit read one integer form of the
+    # matrix, kept with it: B(x) is evaluated once per point, and the
+    # results match those on a fresh copy of the matrix, in either order
+    for a in _cover_matrices():
+        char = char_poly_matrix(a)
+        den, deg, at = a.integer_form()
+        assert a.integer_form()[2] is at and at(0) is at(0)
+        m = _squarefree_part(char)
+        assert annihilates_unit(a, m)
+        fresh = PolyMatrix(a.rows)
+        assert fresh.integer_form() is not a.integer_form()
+        assert annihilates_unit(fresh, m) and char_poly_matrix(fresh) == char
+        assert fresh.integer_form()[2](deg) == at(deg)
+
+
+def test_integer_power_check_matches_fraction_power():
+    # m^k == char decided over Z[w][eta] after clearing denominators, against
+    # EtaPoly powers over Q[w]; a char off by one in a single coefficient is
+    # rejected
+    rng = rng_for("kth-power-over-z")
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        e = rng.randint(1, 3)
+        lower = [_rand_rational_unipoly(rng, rng.randint(-1, 2)) for _ in range(e)]
+        m = EtaPoly(lower + [_rand_rational_unipoly(rng, rng.randint(0, 1))])
+        char = m**k
+        assert exactalg._is_kth_power(m, k, char)
+        assert not exactalg._is_kth_power(m, rng.choice([j for j in range(1, 5) if j != k]), char)
+        j = rng.randrange(len(char.coeffs))
+        cs = list(char.coeff(j).coeffs) + [F(0)] * 3
+        cs[rng.randrange(len(cs))] += rng.choice((-1, 1))
+        coeffs = list(char.coeffs)
+        coeffs[j] = UniPoly(cs)
+        perturbed = EtaPoly(coeffs)
+        assert m**k != perturbed
+        assert not exactalg._is_kth_power(m, k, perturbed)
+
+
 # ---------------------------------------------------------------------------
 # quotient-ring elements
 
