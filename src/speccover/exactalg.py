@@ -18,16 +18,16 @@ Conventions used by the whole package:
 * `resultant(f, g)` equals the determinant of the Sylvester matrix of f and g,
   i.e. lc(f)^deg(g) * prod g(alpha) over the roots alpha of f.
 
-The kernels over Q[w] work at integer points: `char_poly_matrix` and
-`resultant` evaluate at w = 0, 1, ..., D for a degree bound D, compute over
-Z, and interpolate exactly; `annihilates_unit` checks that an integer
-vector vanishes at those points, reusing the matrix values that
-`char_poly_matrix` computed; `min_poly_matrix` takes the squarefree part
-as an exact k-th root, certified at one base value and by an exact power
-check over Z[w][eta].  No production path runs a remainder sequence over
-Q[w].  `kpoly_gcd`, the gcd over a residue field Q[w]/(p), runs Euclid
-modulo primes below 2^62 on plain ints, recovers the rational
-coefficients, and certifies the result by exact division over Z.
+The kernels over Q[w] work over Z.  `char_poly_matrix` and `resultant`
+evaluate at w = 0, 1, ..., D for a degree bound D and interpolate exactly;
+each characteristic polynomial comes from the power sums of a regular
+representation by Newton's identities, every division checked exact.
+`annihilates_unit` checks that an integer vector vanishes at those points.
+`min_poly_matrix` takes the squarefree part as an exact k-th root over
+Z[w], certified at one base and by an exact power check.  Berkowitz and
+remainder sequences over Q[w] run only in the tests, as oracles.
+`kpoly_gcd`, the gcd over a residue field Q[w]/(p), runs Euclid modulo
+primes below 2^62 and certifies the result by exact division over Z.
 """
 
 from __future__ import annotations
@@ -352,15 +352,25 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         return b.monic()
     if b.is_zero():
         return a.monic()
-    fa, fb = _to_int_poly(a), _to_int_poly(b)
+    return UniPoly(_int_gcd(_to_int_poly(a), _to_int_poly(b))).monic()
+
+
+def _int_gcd(fa: list, fb: list) -> list:
+    """A gcd over Q of two nonzero integer coefficient lists, as an integer
+    list, by a primitive pseudo-remainder sequence; [1] when coprime."""
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while len(fb) > 1:
         rem = _pl_pseudo_rem(fa, fb)
         if not rem:
-            return UniPoly(fb).monic()
+            return fb
         fa, fb = fb, _int_primitive(rem)
-    return UniPoly.one()
+    return [1]
+
+
+def _sqfree_degree(f: list) -> int:
+    """Degree of the squarefree part of a nonconstant integer polynomial."""
+    return len(f) - len(_int_gcd(f, [i * c for i, c in enumerate(f)][1:]))
 
 
 _SYMPY_W = sympy.Symbol("w")
@@ -932,26 +942,25 @@ class PolyMatrix:
         return f"PolyMatrix({body})"
 
 
-def _berkowitz(m: list[list[int]]) -> list[int]:
-    """det(x * id - M) for an integer matrix M, coefficients descending.
-
-    Berkowitz's division-free algorithm: the characteristic polynomial of
-    the leading (k+1) x (k+1) block is the convolution of that of the
-    leading k x k block A with (1, -m_kk, -R C, -R A C, ..., -R A^(k-1) C),
-    where R and C are the new row and column outside the diagonal.
-    """
-    poly = [1]
-    for k in range(len(m)):
-        toeplitz = [1, -m[k][k]]
-        col = [m[i][k] for i in range(k)]
-        for _ in range(k):
-            toeplitz.append(-sum(map(mul, m[k], col)))
-            col = [sum(map(mul, m[i], col)) for i in range(k)]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
-            for i in range(k + 2)
-        ]
-    return poly
+def _char_poly_by_power_sums(b: list[list[int]]) -> list[int]:
+    """det(x * id - B), coefficients descending, for an integer matrix B
+    with power sums p_k = Tr(B^k) = n (B^k e_0)_0, as ``char_poly_matrix``
+    proves of its inputs: n products v <- B v from e_0 give p_1..p_n, and
+    Newton's identities k c_k = -(c_(k-1) p_1 + ... + c_0 p_k) the c_k.
+    These are integers, so a division by k with a remainder raises."""
+    n = len(b)
+    vec = [1] + [0] * (n - 1)
+    sums = []
+    for _ in range(n):
+        vec = [sum(map(mul, row, vec)) for row in b]
+        sums.append(n * vec[0])
+    out = [1]
+    for k in range(1, n + 1):
+        c, rem = divmod(-sum(map(mul, out, sums[k - 1 :: -1])), k)
+        if rem:
+            raise InternalCheckError("a Newton identity does not divide exactly: the trace premise fails")
+        out.append(c)
+    return out
 
 
 def _interpolate_int(values: Sequence[int]) -> list[int]:
@@ -1009,17 +1018,29 @@ def _integer_matrix(a: PolyMatrix):
 
 
 def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
-    """det(eta * id - A), monic of degree n in eta.
+    """det(eta * id - A), monic of degree n in eta, for A the regular
+    representation ``covers.mult_matrix`` builds: multiplication by an
+    element s of a commutative, associative algebra graded by a finite
+    abelian group, one rank-1 summand per character, whose unit e_0 spans
+    the trivial one.  ``annihilates_unit`` relies on the same premise, which
+    ``validate_algebra`` checks for explicit covers.
+
+    Then Tr(A^k) = n (A^k e_0)_0.  A^k is multiplication by v = s^k =
+    A^k e_0 = sum_rho v_rho e_rho.  Multiplication by e_rho, rho nontrivial,
+    sends each summand rho' into rho + rho' != rho', so its diagonal is
+    zero, and v_0 e_0 acts as v_0 id.  Outside the premise the result is
+    wrong, or a Newton division raises.
 
     With den the lcm of the coefficient denominators and e the largest entry
-    degree, B = den * A has entries in Z[w], and the coefficient of
-    eta^(n-i) in det(eta * id - B) has degree at most i * e in w.  So it is
-    interpolated exactly from the integer characteristic polynomials of
-    B(0), ..., B(i * e), and dividing it by den^i gives that of A.
+    degree, B = den * A has entries in Z[w] and the same traces, and the
+    coefficient of eta^(n-i) in det(eta * id - B) has degree at most i * e
+    in w.  So it is interpolated exactly from the characteristic
+    polynomials of B(0), ..., B(i * e), each from power sums in O(n^3), and
+    dividing it by den^i gives that of A.
     """
     n = a.n
     den, deg, at = a.integer_form()
-    samples = [_berkowitz(at(x)) for x in range(n * deg + 1)]
+    samples = [_char_poly_by_power_sums(at(x)) for x in range(n * deg + 1)]
     coeffs = []
     for i in range(n + 1):
         ints = _interpolate_int([s[i] for s in samples[: i * deg + 1]])
@@ -1095,97 +1116,96 @@ def annihilates_unit(a: PolyMatrix, poly: EtaPoly) -> bool:
 
 def _kth_root(cs: list, k: int):
     """The monic m of degree e = (len(cs) - 1) / k whose k-th power agrees
-    with the monic coefficient list cs in its top e + 2 coefficients, over
-    Q or Q[w], or None when there is none.
+    with cs, monic over Z[w] as integer coefficient lists, in its top e + 2
+    coefficients, or None when there is none.
 
     With cs = eta^n A(1/eta), A = 1 + a_1 x + a_2 x^2 + ..., and
     m = eta^e B(1/eta), B = A^(1/k) as power series in x satisfies
     k A B' = A' B, so b_j = sum_(i=1..j) ((k + 1) i - k j) a_i b_(j-i) / (k j).
     A polynomial root has b_(e+1) = 0, which rejects most wrong k before
-    the caller's exact check of m^k.
+    the caller's exact check of m^k.  Its roots are those of cs, integral
+    over the integrally closed Z[w], so its coefficients b_j lie in Z[w],
+    and a division by k j that leaves a remainder also means no root.
     """
     if k == 1:
         return list(cs)
     n = len(cs) - 1
     e = n // k
-    b = [cs[-1]]
+    a = [_ZPoly(c) for c in reversed(cs)]
+    b = [a[0]]
     for j in range(1, e + 2):
-        acc = sum(cs[n - i] * b[j - i] * ((k + 1) * i - k * j) for i in range(1, j + 1) if cs[n - i])
-        b.append(acc * Fraction(1, k * j))
-    return None if b.pop() else b[::-1]
+        acc = sum((a[i] * b[j - i] * ((k + 1) * i - k * j) for i in range(1, j + 1) if a[i]), _ZPoly())
+        quo = [divmod(c, k * j) for c in acc.coeffs]
+        if any(rem for _, rem in quo):
+            return None
+        b.append(_ZPoly(q for q, _ in quo))
+    return None if b.pop() else [list(c.coeffs) for c in reversed(b)]
 
 
-def _fibre_exponent(fibre: UniPoly) -> int:
-    """The k that fibre = s^k would have for s its squarefree part, or 0 when
-    deg s does not divide deg fibre: a guess, which the caller certifies."""
-    e = fibre.degree() - poly_gcd(fibre, fibre.derivative()).degree()
-    return fibre.degree() // e if fibre.degree() % e == 0 else 0
+def _fibre_exponent(fibre: list) -> int:
+    """The k that the nonconstant integer list fibre = s^k would have for s
+    its squarefree part, or 0 when deg s does not divide deg fibre: a
+    guess, which the caller certifies."""
+    n, e = len(fibre) - 1, _sqfree_degree(fibre)
+    return n // e if n % e == 0 else 0
 
 
-def _weight(f: EtaPoly) -> int:
-    """The least t >= 0 with deg f_j <= (n - j) t for every eta^j
-    coefficient, n = deg f: the twist f fits."""
-    n = f.degree()
-    return max([0] + [-(-c.degree() // (n - j)) for j, c in enumerate(f.coeffs[:-1]) if c])
-
-
-def _is_kth_power(m: EtaPoly, k: int, char: EtaPoly) -> bool:
-    """Whether m^k == char in Q[w][eta], decided exactly over Z[w][eta].
-
-    With mden and cden the lcm of the coefficient denominators of m and
-    char, mden m and cden char have integer coefficients, and m^k == char
-    exactly when cden (mden m)^k == mden^k (cden char), coefficient by
-    coefficient.
-    """
-    (mi, mden), (ci, cden) = _int_coeff_lists(m.coeffs), _int_coeff_lists(char.coeffs)
-    power = _ZEtaPoly(_ZPoly(c) for c in mi) ** k
-    scale = mden**k
-    return len(power.coeffs) == len(ci) and all(
-        [cden * v for v in p.coeffs] == [scale * v for v in c] for p, c in zip(power.coeffs, ci)
-    )
+def _is_kth_power(m: list, k: int, char: list) -> bool:
+    """Whether m^k == char in Z[w][eta], both as trimmed integer lists."""
+    power = _ZEtaPoly(_ZPoly(c) for c in m) ** k
+    return [list(p.coeffs) for p in power.coeffs] == char
 
 
 def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
     """Squarefree part m of ``char``, the characteristic polynomial of ``a``,
     and a witness base w0 where m(w0, eta) is squarefree.
 
-    The base values 0, 1, -1, 2, ... are walked in turn.  At each, the fibre
-    char(w0, eta) suggests an exponent k, and m is taken as the k-th root
-    of char by ``_kth_root``, if it has one.  m is accepted once m(w0, eta) is
-    squarefree and m^k == char, compared exactly over Z[w][eta] by
-    ``_is_kth_power``: then m is squarefree over Q(w) and has the roots of
-    char, so m = sqfree(char), whatever k was guessed.  The
-    accepted w0 is the first base where m(w0, eta) is squarefree: at an
-    earlier base a root that passed both checks would be m itself.
+    It works on char_B(mu) = den^n char(mu / den), the characteristic
+    polynomial of B = den * A (``_integer_matrix``), monic in Z[w][mu] with
+    coefficients den^(n-j) char_j; a char that does not scale so raises.
+    Scaling eta by den keeps each fibre's root multiplicities, so the walk
+    finds m_B(mu) = den^e m(mu / den) at the base where one over Q[w] finds
+    m, and m_j = m_B,j / den^(e-j).
 
-    char is monic, char = m^k, and deg char_j <= (n - j) t for t =
-    ``_weight(char)``; so deg m_j <= (e - j) t, e = deg m, and the
-    discriminant of m has degree at most e (e - 1) t <= n (n - 1) t in w.
-    A witness therefore lies among the first n (n - 1) t + 1 values, and a
-    walk that finds none has found a defect.
+    The bases 0, 1, -1, 2, ... are walked in turn.  At each, the fibre
+    char_B(w0, mu) suggests an exponent k, and ``_kth_root`` gives m_B, if
+    char_B has a k-th root.  m_B is accepted once m_B(w0, mu) is squarefree
+    and ``_is_kth_power`` finds m_B^k == char_B: then m_B is squarefree over
+    Q(w) with the roots of char_B, so it is sqfree(char_B) whatever k was
+    guessed, and w0 is the first base where it is squarefree.
+
+    With t the largest entry degree of A, deg char_B,j <= (n - j) t, as in
+    ``char_poly_matrix``, so deg m_B,j <= (e - j) t and the discriminant of
+    m_B has degree at most n (n - 1) t in w.  A witness lies among the first
+    n (n - 1) t + 1 bases, and a walk that finds none has found a defect.
 
     m is also checked to annihilate the matrix with ``annihilates_unit``,
     whose premise on ``a`` it inherits; that check reuses the integer
     points at which ``char_poly_matrix`` evaluated ``a``.
     """
+    den, deg = a.integer_form()[:2]
     n = char.degree()
-    for i in range(n * (n - 1) * _weight(char) + 1):
-        w0 = Fraction((i + 1) // 2 * (1 if i % 2 else -1))
-        k = _fibre_exponent(char.at_base(w0))
-        root = _kth_root(list(char.coeffs), k) if k else None
+    if any(den ** (n - j) % x.denominator for j, c in enumerate(char.coeffs) for x in c.coeffs):
+        raise InternalCheckError("characteristic polynomial does not scale into Z[w] with the matrix")
+    cs = [[x.numerator * (den ** (n - j) // x.denominator) for x in c.coeffs] for j, c in enumerate(char.coeffs)]
+    for i in range(n * (n - 1) * deg + 1):
+        w0 = (i + 1) // 2 * (1 if i % 2 else -1)
+        k = _fibre_exponent([_horner(c, w0) for c in cs])
+        root = _kth_root(cs, k) if k else None
         if root is None:
             continue
-        minimal = EtaPoly(root)
-        fibre = minimal.at_base(w0)
-        if poly_gcd(fibre, fibre.derivative()).degree() == 0 and _is_kth_power(minimal, k, char):
+        fibre = [_horner(c, w0) for c in root]
+        if _sqfree_degree(fibre) == len(fibre) - 1 and _is_kth_power(root, k, cs):
             break
     else:
         raise InternalCheckError("k-th root of the characteristic polynomial is not squarefree at any base")
+    e = len(root) - 1
+    minimal = EtaPoly(UniPoly(Fraction(x, den ** (e - j)) for x in c) for j, c in enumerate(root))
     if minimal.lead != UniPoly.one():
         raise InternalCheckError("minimal polynomial came out non-monic")
     if not annihilates_unit(a, minimal):
         raise InternalCheckError("minimal polynomial fails to annihilate the matrix")
-    return minimal, w0
+    return minimal, Fraction(w0)
 
 
 # ---------------------------------------------------------------------------
@@ -1343,8 +1363,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# a run of refused primes this long means a premise of kpoly_gcd fails
-_REFUSED_PRIMES = 64
+# a run of refused primes, or of failed certificates, this long means a
+# premise of kpoly_gcd fails
+_REFUSED_PRIMES = _FAILED_CERTIFICATES = 64
 
 # the largest primes below 2^62 are 2^62 minus these, in order; the table
 # spares the 0.4 ms that ``_is_prime`` takes to find each one
@@ -1510,7 +1531,10 @@ def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
 
     Only finitely many primes are refused or give too large a degree while
     p is irreducible; a run of ``_REFUSED_PRIMES`` refusals is taken for a
-    broken premise and raises InternalCheckError.
+    broken premise and raises InternalCheckError.  So does a run of
+    ``_FAILED_CERTIFICATES`` candidates at one degree that agree with the
+    next image but fail the division, which only finitely many unlucky
+    primes can cause.
     """
     a, b = _pl_trim(list(a)), _pl_trim(list(b))
     if len(a) < len(b):
@@ -1538,7 +1562,7 @@ def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
             return [one]
         image = [x for c in g[:-1] for x in c + [0] * (k - len(c))]
         if best is None or n < best:
-            best, images, modulo = n, image, q
+            best, images, modulo, failed = n, image, q, 0
             for f, fi, other in ((b, bi, ai), (a, ai, bi)):
                 if len(f) == n + 1 and f[-1] == one and _divides_in_field(fi, other, pm):
                     return f
@@ -1552,6 +1576,9 @@ def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
                 gi = [[int(x * den) for x in cand[i : i + k]] for i in range(0, n * k, k)] + [[den]]
                 if _divides_in_field(gi, ai, pm) and _divides_in_field(gi, bi, pm):
                     return [ExtElem(modulus, UniPoly(cand[i : i + k])) for i in range(0, n * k, k)] + [one]
+                failed += 1
+                if failed == _FAILED_CERTIFICATES:
+                    raise InternalCheckError(f"{failed} agreeing candidates failed to divide over {modulus}")
             inv = pow(modulo, -1, q)
             images = [x + modulo * ((y - x) * inv % q) for x, y in zip(images, image)]
             modulo *= q

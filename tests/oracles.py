@@ -2,7 +2,8 @@
 
 Nothing in the package calls these.  Each one is either an independent way
 to compute something the package computes (the Sylvester matrix, resultants
-over Q[w] and Q[w][eta] by one remainder sequence, the multiplication matrix
+over Q[w] and Q[w][eta] by one remainder sequence, characteristic
+polynomials of arbitrary matrices by Berkowitz, the multiplication matrix
 class by class and form by form, the annihilating polynomial by matrix powers, the
 annihilation check by Horner over Q[w], the triple-cover criterion, points
 of the source mapped onto the curve, residue-field inverses and gcds by
@@ -13,6 +14,7 @@ the standard cyclic cover.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from speccover.covers import SectionData, is_standard_cyclic, make_standard_cyclic, mult_matrix
@@ -33,6 +35,8 @@ from speccover.exactalg import (
     PolyMatrix,
     ProjPoint,
     UniPoly,
+    _integer_matrix,
+    _interpolate_int,
     _pl_trim,
     _prs_resultant,
     eta_gcd,
@@ -119,6 +123,47 @@ def mult_matrix_by_forms(sec: SectionData, chart: int = 0) -> PolyMatrix:
             j = index[col_char]
             rows[i][j] = rows[i][j] + h * c
     return PolyMatrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials of arbitrary matrices
+
+
+def berkowitz(m: list[list[int]]) -> list[int]:
+    """det(x * id - M) for an integer matrix M, coefficients descending.
+
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 1984): the
+    characteristic polynomial of the leading (k+1) x (k+1) block is the
+    convolution of that of the leading k x k block A with
+    (1, -m_kk, -R C, -R A C, ..., -R A^(k-1) C), where R and C are the new
+    row and column outside the diagonal.
+    """
+    poly = [1]
+    for k in range(len(m)):
+        toeplitz = [1, -m[k][k]]
+        col = [m[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, m[k], col)))
+            col = [sum(map(mul, m[i], col)) for i in range(k)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return poly
+
+
+def char_poly_by_berkowitz(a: PolyMatrix) -> EtaPoly:
+    """det(eta * id - A) for any square matrix over Q[w], with no premise on
+    A: Berkowitz on each integer matrix B(x), B = den * A, at x = 0..n e,
+    and each eta-coefficient interpolated exactly and divided by den^i."""
+    n = a.n
+    den, deg, at = _integer_matrix(a)
+    samples = [berkowitz(at(x)) for x in range(n * deg + 1)]
+    coeffs = []
+    for i in range(n + 1):
+        ints = _interpolate_int([s[i] for s in samples[: i * deg + 1]])
+        coeffs.append(UniPoly(Fraction(c, den**i) for c in ints))
+    return EtaPoly(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -556,7 +556,7 @@ def test_stability_job_factors_nothing(monkeypatch):
         assert results["integrality"]["certified"] == (job is stability[0])
 
 
-@pytest.mark.parametrize("r", [16, 32])
+@pytest.mark.parametrize("r", [16, 32, 48])
 def test_dense_compute_job_within_budget(r):
     # every character carries a component, so char is squarefree and is its
     # own reduced part; the budget bounds the squarefree part and the

@@ -15,6 +15,8 @@ from conftest import F, bf, bidouble_cover, ep, rand_binform, rand_unipoly, rng_
 from oracles import (
     _euclid_divmod,
     annihilates_unit_by_horner,
+    berkowitz,
+    char_poly_by_berkowitz,
     euclid_kpoly_gcd,
     poly_xgcd,
     resultant_coeffs,
@@ -520,10 +522,12 @@ def _eta_minus(a):
 
 
 def test_char_poly_methods_agree():
+    # arbitrary matrices break char_poly_matrix's trace premise, so they
+    # check the Berkowitz oracle, which has none, against Bareiss
     rng = rng_for("charpoly")
     for size in (2, 3, 4, 7, 8):
         a = PolyMatrix([[rand_unipoly(rng, 1) for _ in range(size)] for _ in range(size)])
-        assert char_poly_matrix(a) == det_bareiss(_eta_minus(a))
+        assert char_poly_by_berkowitz(a) == det_bareiss(_eta_minus(a))
 
 
 def _rand_rational_unipoly(rng, deg):
@@ -554,7 +558,56 @@ def _cover_matrices():
     return [mult_matrix(sec, chart) for sec in sections for chart in (0, 1)]
 
 
+def _random_support_matrices(rng, count):
+    """mult_matrix on a random chart for sections with random supports and
+    rational coefficients, on standard covers r = 1-8, the cyclic triple,
+    the double and the Z/2 x Z/2 cover."""
+    covers = [make_standard_cyclic(r) for r in range(1, 9)]
+    covers += [make_cyclic_triple(bf(1, [1, 2]), bf(1, [-1, 3])), make_double_cover(bf(2, [-1, 0, 1])),
+               bidouble_cover()]
+    mats = []
+    for _ in range(count):
+        cover = rng.choice(covers)
+        d = max(cover.twist_degrees.values()) + rng.randint(0, 2)
+        comps = {}
+        for rho in cover.characters():
+            if rng.random() < 0.6:
+                want = d - cover.twist(rho)
+                comps[rho] = BinForm(want, [F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(want + 1)])
+        mats.append(mult_matrix(SectionData(cover, d, comps), rng.randint(0, 1)))
+    return mats
+
+
+def _dense_section(r):
+    """The dense section of the CLI's rank-budget test: every character
+    carries a component."""
+    comps = {0: bf(1, [1, 2])}
+    comps.update({k: bf(0, [k]) for k in range(1, r)})
+    return SectionData(make_standard_cyclic(r), 1, comps)
+
+
+def test_char_poly_by_power_sums_matches_berkowitz_on_cover_matrices():
+    # the power-sum route needs Tr(A^k) = n (A^k e_0)_0, which every cover
+    # algebra's multiplication matrix satisfies; Berkowitz needs nothing
+    rng = rng_for("charpoly-power-sums")
+    mats = _cover_matrices() + _random_support_matrices(rng, 60)
+    mats += [mult_matrix(_dense_section(r), chart) for r in (16, 32) for chart in (0, 1)]
+    for a in mats:
+        assert char_poly_matrix(a) == char_poly_by_berkowitz(a)
+
+
+def test_char_poly_refuses_an_inexact_newton_division():
+    # (B e_0)_0 = 0 and (B^2 e_0)_0 = 1 give p_1 = 0, p_2 = 3, so
+    # 2 c_2 = -3: this B breaks the trace premise (Tr B^2 = 2)
+    b = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    with pytest.raises(InternalCheckError, match="Newton"):
+        char_poly_matrix(PolyMatrix([[UniPoly.const(x) for x in row] for row in b]))
+    assert berkowitz(b) == [1, 0, -1, 0]
+
+
 def test_char_poly_matches_bareiss_oracle():
+    # arbitrary matrices check the Berkowitz oracle against Bareiss; the
+    # cover matrices check char_poly_matrix as well
     rng = rng_for("charpoly-oracle")
     mats = []
     for n in range(1, 9):
@@ -569,11 +622,12 @@ def test_char_poly_matches_bareiss_oracle():
     # w^3 + c_i on the diagonal: the eta^(5-i) coefficient has degree exactly 3i
     diag = [UniPoly((F(k, 3), 0, 0, 1)) for k in (-2, -1, 1, 2, 4)]
     diag_mat = PolyMatrix([[diag[i] if i == j else UniPoly.zero() for j in range(5)] for i in range(5)])
-    out = char_poly_matrix(diag_mat)
+    out = char_poly_by_berkowitz(diag_mat)
     assert [out.coeff(5 - i).degree() for i in range(6)] == [0, 3, 6, 9, 12, 15]
     mats.append(diag_mat)
-    mats.extend(_cover_matrices())
     for a in mats:
+        assert char_poly_by_berkowitz(a) == det_bareiss(_eta_minus(a))
+    for a in _cover_matrices():
         assert char_poly_matrix(a) == det_bareiss(_eta_minus(a))
 
 
@@ -597,7 +651,7 @@ def test_char_poly_block_diagonal_multiplies():
         [z, z, b.entry(0, 0), b.entry(0, 1)],
         [z, z, b.entry(1, 0), b.entry(1, 1)],
     ])
-    assert char_poly_matrix(big) == char_poly_matrix(a) * char_poly_matrix(b)
+    assert char_poly_by_berkowitz(big) == char_poly_by_berkowitz(a) * char_poly_by_berkowitz(b)
 
 
 def test_char_poly_rejects_non_square():
@@ -623,6 +677,9 @@ def test_min_poly_scalar_matrix():
     h = up(1, 2)
     a = mult_matrix(SectionData(make_standard_cyclic(2), 1, {0: bf(1, [1, 2])}), 0)
     assert min_poly_matrix(a, char_poly_matrix(a))[0] == EtaPoly((-h, UniPoly.one()))
+    # a char that den * A's characteristic polynomial cannot come from
+    with pytest.raises(InternalCheckError, match="scale into Z"):
+        min_poly_matrix(a, EtaPoly((-h + F(1, 2), UniPoly.one())))
 
 
 def test_min_poly_squarefree_and_divides_char():
@@ -645,10 +702,17 @@ def _squarefree_part(char):
     return char if g.degree() == 0 else (char * g.lead).exact_div(g)
 
 
+def _rational_form(rng, degree):
+    """A form whose coefficients are nonzero with denominators 2-6."""
+    return BinForm(degree, [F(rng.choice((-3, -1, 1, 2)), rng.choice((2, 3, 4, 6))) for _ in range(degree + 1)])
+
+
 def test_min_poly_is_the_squarefree_part_by_eta_gcd():
     # min_poly_matrix takes an exact k-th root; the eta-gcd gives the
     # squarefree part independently.  Standard covers with gcd(r, support)
-    # = k for k = 1..4, then the double, cyclic-triple and bidouble covers.
+    # = k for k = 1..4, then the double, cyclic-triple and bidouble covers,
+    # then sections whose coefficients have denominators, so the matrix is
+    # scaled by den > 1 before the root is taken over Z[w].
     # The witness is the first base of 0, 1, -1, ... where m is squarefree.
     rng = rng_for("kth-root-sqfree")
     cases = [(5, (1, 3), 1), (3, (0, 1, 2), 1), (4, (2,), 2), (6, (0, 2, 4), 2), (6, (3,), 3), (6, (0, 3), 3),
@@ -663,6 +727,12 @@ def test_min_poly_is_the_squarefree_part_by_eta_gcd():
     double = make_double_cover(bf(2, [-1, 0, 1]))
     sections.append((SectionData(double, 2, {0: bf(2, [0, 1, 1]), 1: bf(1, [1, -2])}), 1))
     sections.append((SectionData(bidouble_cover(), 2, {(1, 0): bf(1, [1, 1]), (0, 1): bf(1, [2, -1])}), 1))
+    for r, support, k in ((5, (1, 3), 1), (4, (2,), 2), (6, (0, 3), 3), (8, (0, 4), 4)):
+        d = 2 if r <= 6 else 1
+        comps = {j: _rational_form(rng, d if j == 0 else d - 1) for j in support}
+        sections.append((SectionData(make_standard_cyclic(r), d, comps), k))
+    half = {(1, 0): bf(1, [F(1, 2), 1]), (0, 1): bf(1, [F(2, 3), F(-1, 5)]), (0, 0): bf(2, [F(1, 7), 0, 1])}
+    sections.append((SectionData(bidouble_cover(), 2, half), 1))
     walk = [F((i + 1) // 2 * (1 if i % 2 else -1)) for i in range(40)]
     for sec, k in sections:
         for chart in (0, 1):
@@ -704,7 +774,7 @@ def test_annihilates_unit_matches_horner_oracle():
     mats.extend(_cover_matrices())
     answers = []
     for a in mats:
-        m = _squarefree_part(char_poly_matrix(a))
+        m = _squarefree_part(char_poly_by_berkowitz(a))
         multiple = m * EtaPoly([_rand_rational_unipoly(rng, rng.randint(0, 2)) for _ in range(2)])
         polys = [m, m + EtaPoly.one(), multiple]
         for _ in range(3):
@@ -756,27 +826,37 @@ def test_integer_points_are_shared_by_the_kernels():
         assert fresh.integer_form()[2](deg) == at(deg)
 
 
+def _int_lists(f):
+    """An EtaPoly with integer coefficients as lists of integer w-coefficient lists."""
+    return [[int(x) for x in c.coeffs] for c in f.coeffs]
+
+
 def test_integer_power_check_matches_fraction_power():
-    # m^k == char decided over Z[w][eta] after clearing denominators, against
-    # EtaPoly powers over Q[w]; a char off by one in a single coefficient is
-    # rejected
+    # m^k == char and the k-th root, both over Z[w][eta], against EtaPoly
+    # powers; a char off by one in a single coefficient is rejected, and
+    # has no root or one that fails the power check
     rng = rng_for("kth-power-over-z")
     for _ in range(120):
         k = rng.randint(1, 4)
         e = rng.randint(1, 3)
-        lower = [_rand_rational_unipoly(rng, rng.randint(-1, 2)) for _ in range(e)]
-        m = EtaPoly(lower + [_rand_rational_unipoly(rng, rng.randint(0, 1))])
+        m = EtaPoly([rand_unipoly(rng, 2) for _ in range(e)] + [UniPoly.one()])
         char = m**k
-        assert exactalg._is_kth_power(m, k, char)
-        assert not exactalg._is_kth_power(m, rng.choice([j for j in range(1, 5) if j != k]), char)
-        j = rng.randrange(len(char.coeffs))
+        mi, ci = _int_lists(m), _int_lists(char)
+        assert exactalg._is_kth_power(mi, k, ci)
+        assert exactalg._kth_root(ci, k) == mi
+        assert not exactalg._is_kth_power(mi, rng.choice([j for j in range(1, 5) if j != k]), ci)
+        j = rng.randrange(len(char.coeffs) - 1)
         cs = list(char.coeff(j).coeffs) + [F(0)] * 3
         cs[rng.randrange(len(cs))] += rng.choice((-1, 1))
         coeffs = list(char.coeffs)
         coeffs[j] = UniPoly(cs)
-        perturbed = EtaPoly(coeffs)
-        assert m**k != perturbed
-        assert not exactalg._is_kth_power(m, k, perturbed)
+        assert m**k != EtaPoly(coeffs)
+        perturbed = _int_lists(EtaPoly(coeffs))
+        assert not exactalg._is_kth_power(mi, k, perturbed)
+        root = exactalg._kth_root(perturbed, k)
+        assert k == 1 or root is None or not exactalg._is_kth_power(root, k, perturbed)
+    # eta^2 + eta + 1 has b_1 = 1/2: no square root over Z[w], nor over Q(w)
+    assert exactalg._kth_root([[1], [1], [1]], 2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1045,6 +1125,19 @@ def test_kpoly_gcd_recovers_large_coefficients_from_several_primes(monkeypatch):
     # M > 2^601 only, a product of at least ten primes below 2^62
     assert max(x.numerator.bit_length() for e in c for x in e.value.coeffs) >= 290
     assert len(seen) >= 10
+
+
+def test_kpoly_gcd_bounds_candidates_that_fail_to_divide(monkeypatch):
+    # a certificate that always fails, as a defect would make it, must
+    # raise after a bounded run of agreeing candidates, not loop
+    mod = up(1, 0, 1)
+    c = _kpoly(mod, -1, 1)
+    a, b = _kpoly_mul(c, _kpoly(mod, UniPoly.x(), 1)), _kpoly_mul(c, _kpoly(mod, 3, 1))
+    monkeypatch.setattr(exactalg, "_divides_in_field", lambda g, f, pm: False)
+    seen = _recorded_images(monkeypatch)
+    with pytest.raises(InternalCheckError, match="failed to divide"):
+        exactalg.kpoly_gcd(a, b)
+    assert len(seen) == exactalg._FAILED_CERTIFICATES + 1
 
 
 def test_kpoly_gcd_with_a_zero_or_constant_argument():
