@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     InternalCheckError,
     ShapeError,
 )
-from .exactalg import BinForm, PolyMatrix, UniPoly
+from .exactalg import BinForm, PolyMatrix
 
 Char = tuple  # a character: one residue per cyclic factor of the group
 
@@ -389,8 +390,9 @@ def mult_matrix(sec: SectionData, chart: int = 0) -> PolyMatrix:
     Rows and columns are indexed by the characters in lexicographic order.
     The component at rho sends the rho' summand into the (rho + rho') one
     with coefficient h_rho * c(rho, rho'), dehomogenized on the chosen chart.
-    The products are summed on coefficient lists, and each entry becomes a
-    UniPoly once, at the end.
+    The components and the structure forms are scaled into integers once,
+    by the lcm of their denominators, and the products are summed on
+    integer coefficient lists, which the matrix keeps.
     """
     if chart not in (0, 1):
         raise ValueError("chart must be 0 or 1")
@@ -400,11 +402,17 @@ def mult_matrix(sec: SectionData, chart: int = 0) -> PolyMatrix:
     chars = group.elements()
     index = {rho: i for i, rho in enumerate(chars)}
     n = len(chars)
+    hden = lcm(*(c.denominator for form in sec.components.values() for c in form.coeffs))
+    cden = lcm(*(c.denominator for form in alg.structure_forms.values() for c in form.coeffs))
+    scaled = {}  # id of a structure form -> its coefficients times cden, in chart order
     rows = [[[] for _ in range(n)] for _ in range(n)]
     for rho, form in sec.components.items():
-        h = form.coeffs[::order]
+        h = [x.numerator * (hden // x.denominator) for x in form.coeffs[::order]]
         for j, col_char in enumerate(chars):
-            c = alg._form(rho, col_char).coeffs[::order]
+            cform = alg._form(rho, col_char)
+            c = scaled.get(id(cform))
+            if c is None:
+                c = scaled[id(cform)] = [y.numerator * (cden // y.denominator) for y in cform.coeffs[::order]]
             acc = rows[index[group.add(rho, col_char)]][j]
             acc.extend([0] * (len(h) + len(c) - 1 - len(acc)))
             for a, x in enumerate(h):
@@ -412,7 +420,7 @@ def mult_matrix(sec: SectionData, chart: int = 0) -> PolyMatrix:
                     for b, y in enumerate(c):
                         if y:
                             acc[a + b] += x * y
-    return PolyMatrix([[UniPoly(e) for e in row] for row in rows])
+    return PolyMatrix.from_ints(rows, hden * cden)
 
 
 def pushforward_line_bundle(r: int, m: int) -> SplitBundle:

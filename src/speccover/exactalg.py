@@ -18,11 +18,13 @@ Conventions used by the whole package:
 * `resultant(f, g)` equals the determinant of the Sylvester matrix of f and g,
   i.e. lc(f)^deg(g) * prod g(alpha) over the roots alpha of f.
 
-The kernels over Q[w] work over Z.  `char_poly_matrix` and `resultant`
-evaluate at w = 0, 1, ..., D for a degree bound D and interpolate exactly;
-each characteristic polynomial comes from the power sums of a regular
-representation by Newton's identities, every division checked exact.
-`annihilates_unit` checks that an integer vector vanishes at those points.
+The kernels over Q[w] work over Z.  `PolyMatrix` stores a matrix over Z
+and keeps, at each integer point, the vectors B(x)^j e_0 that its kernels
+share.  `char_poly_matrix` and `resultant` evaluate at w = 0, 1, ..., D
+for a degree bound D and interpolate exactly; each characteristic
+polynomial comes from the power sums of a regular representation by
+Newton's identities, every division checked exact.  `annihilates_unit`
+checks that an integer vector vanishes at those points.
 `min_poly_matrix` takes the squarefree part as an exact k-th root over
 Z[w], certified at one base and by an exact power check.  Berkowitz and
 remainder sequences over Q[w] run only in the tests, as oracles.
@@ -394,18 +396,24 @@ def factor_rational(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     s_unit, pairs = expr.factor_list()
     s_unit = sympy.Rational(s_unit)
     unit = Fraction(int(s_unit.p), int(s_unit.q))
+    # f = unit prod p_i^m_i, with p_i = P_i / c_i for P_i in Z[w] of lead
+    # c_i, is checked over Z as unit_num den_f prod P_i^m_i ==
+    # unit_den prod c_i^m_i F, where F = den_f f
+    (big_f,), den_f = _int_coeff_lists([f])
+    lhs, leads = _ZPoly((den_f,)), 1
     factors: list[tuple[UniPoly, int]] = []
     for poly, mult in pairs:
         coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-        q = UniPoly(coeffs)
-        unit *= q.lead ** mult
-        factors.append((q.monic(), int(mult)))
-    factors.sort(key=lambda pm: (pm[0].degree(), pm[0].coeffs))
-    check = UniPoly.const(unit)
-    for p, m in factors:
-        check = check * p**m
-    if check != f:
+        den = lcm(*(c.denominator for c in coeffs))
+        big = [c.numerator * (den // c.denominator) for c in coeffs]
+        mult = int(mult)
+        unit *= Fraction(big[-1], den) ** mult
+        factors.append((UniPoly(Fraction(c, big[-1]) for c in big), mult))
+        lhs = lhs * _ZPoly(big) ** mult
+        leads *= big[-1] ** mult
+    if [unit.numerator * c for c in lhs.coeffs] != [unit.denominator * leads * c for c in big_f]:
         raise InternalCheckError("irreducible factorization failed to reconstruct input")
+    factors.sort(key=lambda pm: (pm[0].degree(), pm[0].coeffs))
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if poly_gcd(factors[i][0], factors[j][0]).degree() != 0:
@@ -893,38 +901,94 @@ def resultant(f: EtaPoly, g: EtaPoly) -> UniPoly:
 
 
 class PolyMatrix:
-    """Square matrix with UniPoly entries."""
+    """Square matrix over Q[w], stored over Z.
 
-    __slots__ = ("n", "rows", "_integer")
+    ``ints[i][j]`` is the ascending integer coefficient list of
+    den * A[i][j], trimmed, with den the least positive integer that clears
+    every denominator, so the integer form of a matrix is unique; ``deg`` is
+    the largest entry degree in w, at least 0.  ``PolyMatrix(rows)`` takes
+    UniPoly (or rational) entries, ``PolyMatrix.from_ints`` the integer
+    lists of some multiple of the matrix.  ``rows``, the UniPoly entries, is
+    built on first use.
+
+    The kernels read the matrix at integer points: ``krylov(x, k)`` holds
+    B(x) for B = den * A and the vectors B(x)^j e_0, kept with the matrix,
+    so every kernel that visits the point x shares them.
+    """
+
+    __slots__ = ("n", "den", "deg", "ints", "_rows", "_points")
 
     def __init__(self, rows: Sequence[Sequence[UniPoly]]):
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        fixed = tuple(tuple(e if isinstance(e, UniPoly) else UniPoly.const(as_rat(e)) for e in r) for r in rows)
+        den = lcm(*(c.denominator for r in fixed for e in r for c in e.coeffs))
+        self._set([[[c.numerator * (den // c.denominator) for c in e.coeffs] for e in r] for r in fixed], den)
+        self._rows = fixed
+
+    @classmethod
+    def from_ints(cls, ints: list, den: int = 1) -> PolyMatrix:
+        """The matrix (1 / den) * ints, for ints a square matrix of ascending
+        integer coefficient lists, which it keeps and trims in place."""
+        self = cls.__new__(cls)
+        self._set(ints, den)
+        return self
+
+    def _set(self, ints: list, den: int) -> None:
+        n = len(ints)
+        if n == 0 or any(len(r) != n for r in ints):
             raise ShapeError("PolyMatrix must be square and nonempty")
-        fixed = []
-        for r in rows:
-            fixed.append(tuple(e if isinstance(e, UniPoly) else UniPoly.const(as_rat(e)) for e in r))
-        self.n = n
-        self.rows: tuple[tuple[UniPoly, ...], ...] = tuple(fixed)
-        self._integer = None
+        g = den
+        for row in ints:
+            for cs in row:
+                _pl_trim(cs)
+                for c in cs:
+                    if g == 1:
+                        break
+                    g = gcd(g, c)
+        if g > 1:
+            ints = [[[c // g for c in cs] for cs in row] for row in ints]
+        self.n, self.den, self.ints = n, den // g, ints
+        self.deg = max(0, max(len(cs) - 1 for row in ints for cs in row))
+        self._rows = None
+        self._points = {}
+
+    @property
+    def rows(self) -> tuple[tuple[UniPoly, ...], ...]:
+        if self._rows is None:
+            den = self.den
+            self._rows = tuple(tuple(UniPoly(Fraction(c, den) for c in cs) for cs in row) for row in self.ints)
+        return self._rows
 
     def entry(self, i: int, j: int) -> UniPoly:
         return self.rows[i][j]
 
-    def integer_form(self):
-        """``_integer_matrix(self)``, scaled on first use and kept with the
-        matrix, so every kernel that reads it shares its integer points."""
-        if self._integer is None:
-            self._integer = _integer_matrix(self)
-        return self._integer
+    def _at(self, x: int) -> list[list[int]]:
+        """The integer matrix B(x)."""
+        powers = [x**k for k in range(self.deg + 1)]
+        return [[sum(map(mul, cs, powers)) for cs in row] for row in self.ints]
+
+    def krylov(self, x: int, k: int) -> list[list[int]]:
+        """The vectors v_j = B(x)^j e_0 for j = 0, 1, ..., at least up to
+        j = k, with B = den * A.
+
+        B(x) is evaluated once per point, and each vector is one product
+        v_j = B(x) v_(j-1).  Both are kept with the matrix and extended on
+        demand, so callers must not change them.
+        """
+        point = self._points.get(x)
+        if point is None:
+            point = self._points[x] = (self._at(x), [[1] + [0] * (self.n - 1)])
+        b, vecs = point
+        while len(vecs) <= k:
+            vecs.append(_mat_vec(b, vecs[-1]))
+        return vecs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, tuple(tuple(map(tuple, row)) for row in self.ints)))
 
     def apply(self, vec: Sequence[UniPoly]) -> list[UniPoly]:
         """The matrix-vector product A * vec."""
@@ -942,25 +1006,9 @@ class PolyMatrix:
         return f"PolyMatrix({body})"
 
 
-def _char_poly_by_power_sums(b: list[list[int]]) -> list[int]:
-    """det(x * id - B), coefficients descending, for an integer matrix B
-    with power sums p_k = Tr(B^k) = n (B^k e_0)_0, as ``char_poly_matrix``
-    proves of its inputs: n products v <- B v from e_0 give p_1..p_n, and
-    Newton's identities k c_k = -(c_(k-1) p_1 + ... + c_0 p_k) the c_k.
-    These are integers, so a division by k with a remainder raises."""
-    n = len(b)
-    vec = [1] + [0] * (n - 1)
-    sums = []
-    for _ in range(n):
-        vec = [sum(map(mul, row, vec)) for row in b]
-        sums.append(n * vec[0])
-    out = [1]
-    for k in range(1, n + 1):
-        c, rem = divmod(-sum(map(mul, out, sums[k - 1 :: -1])), k)
-        if rem:
-            raise InternalCheckError("a Newton identity does not divide exactly: the trace premise fails")
-        out.append(c)
-    return out
+def _mat_vec(b: list[list[int]], vec: list[int]) -> list[int]:
+    """The integer matrix-vector product b * vec."""
+    return [sum(map(mul, row, vec)) for row in b]
 
 
 def _interpolate_int(values: Sequence[int]) -> list[int]:
@@ -990,33 +1038,6 @@ def _interpolate_int(values: Sequence[int]) -> list[int]:
     return out
 
 
-def _integer_matrix(a: PolyMatrix):
-    """(den, deg, at) for B = den * A in Z[w]: den the lcm of A's coefficient
-    denominators, deg >= 0 the largest entry degree in w, and at(x) the
-    integer matrix B(x).
-
-    at(x) evaluates B at each point once and hands the same matrix to every
-    later caller, which must not change it.  The kernels reach this through
-    ``PolyMatrix.integer_form``, so the characteristic polynomial and the
-    annihilation check of one matrix scale it once and share the points
-    w = 0, 1, ... they both visit; the values live as long as the matrix.
-    """
-    entries = [e for row in a.rows for e in row]
-    den = lcm(*(c.denominator for e in entries for c in e.coeffs))
-    deg = max(0, max(e.degree() for e in entries))
-    scaled = [[[c.numerator * (den // c.denominator) for c in e.coeffs] for e in row] for row in a.rows]
-    points = {}
-
-    def at(x: int) -> list[list[int]]:
-        b = points.get(x)
-        if b is None:
-            powers = [x**k for k in range(deg + 1)]
-            b = points[x] = [[sum(map(mul, cs, powers)) for cs in row] for row in scaled]
-        return b
-
-    return den, deg, at
-
-
 def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
     """det(eta * id - A), monic of degree n in eta, for A the regular
     representation ``covers.mult_matrix`` builds: multiplication by an
@@ -1031,16 +1052,26 @@ def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
     zero, and v_0 e_0 acts as v_0 id.  Outside the premise the result is
     wrong, or a Newton division raises.
 
-    With den the lcm of the coefficient denominators and e the largest entry
-    degree, B = den * A has entries in Z[w] and the same traces, and the
-    coefficient of eta^(n-i) in det(eta * id - B) has degree at most i * e
-    in w.  So it is interpolated exactly from the characteristic
-    polynomials of B(0), ..., B(i * e), each from power sums in O(n^3), and
-    dividing it by den^i gives that of A.
+    B = den * A (``PolyMatrix``) has entries in Z[w], and with e = a.deg
+    the coefficient of eta^(n-i) in det(eta * id - B) has degree at most
+    i * e in w.  So it is interpolated exactly from its values at
+    x = 0, ..., n * e.  At each, the power sums p_k = n (B(x)^k e_0)_0,
+    k = 1..n, come from the matrix's Krylov vectors, n products in all, and
+    Newton's identities k c_k = -(c_(k-1) p_1 + ... + c_0 p_k) give the
+    c_k.  These are integers, so a division by k with a remainder raises.
+    Dividing the interpolated coefficient by den^i gives that of A.
     """
-    n = a.n
-    den, deg, at = a.integer_form()
-    samples = [_char_poly_by_power_sums(at(x)) for x in range(n * deg + 1)]
+    n, den, deg = a.n, a.den, a.deg
+    samples = []
+    for x in range(n * deg + 1):
+        sums = [n * v[0] for v in a.krylov(x, n)[1 : n + 1]]
+        out = [1]
+        for k in range(1, n + 1):
+            c, rem = divmod(-sum(map(mul, out, sums[k - 1 :: -1])), k)
+            if rem:
+                raise InternalCheckError("a Newton identity does not divide exactly: the trace premise fails")
+            out.append(c)
+        samples.append(out)
     coeffs = []
     for i in range(n + 1):
         ints = _interpolate_int([s[i] for s in samples[: i * deg + 1]])
@@ -1086,30 +1117,34 @@ def annihilates_unit(a: PolyMatrix, poly: EtaPoly) -> bool:
     basis vector 0 is the unit, as ``covers.mult_matrix`` is, poly(A) is
     multiplication by poly(A) e_0, so this holds exactly when poly(A) = 0.
 
-    With B = den * A in Z[w] as in ``_integer_matrix``, e = deg poly, pden
-    the lcm of poly's coefficient denominators and c_j = pden den^(e-j) p_j
-    in Z[w], c_j B^j = pden den^e p_j A^j, so the integer vector
+    With B = den * A in Z[w] (``PolyMatrix``), e = deg poly, pden the lcm
+    of poly's coefficient denominators and c_j = pden den^(e-j) p_j in
+    Z[w], c_j B^j = pden den^e p_j A^j, so the integer vector
     u = sum_j c_j B^j e_0 is pden den^e poly(A) e_0, zero exactly when
     poly(A) e_0 is.  Each entry of B^j is a sum of products of j entries of
-    B, of degree at most j deg A, so each entry of u has degree at most
-    D = max_j (deg c_j + j deg A) in w.  u(x) is found by Horner on an
-    integer vector, v <- B(x) v, then v_0 += c_j(x), and a polynomial of
-    degree at most D that vanishes at D + 1 points is zero.  B and its
-    values B(x) come from ``a.integer_form()``: after ``char_poly_matrix``
-    of the same matrix, a point it visited is not evaluated again.
+    B, of degree at most j t for t = deg A, so each entry of u has degree at
+    most D = max_j (deg p_j + j t) in w, and a polynomial of degree at most
+    D that vanishes at D + 1 points is zero.  u(x) = sum_j c_j(x) v_j is
+    read off the matrix's Krylov vectors v_j = B(x)^j e_0.
+
+    Those are shared with ``char_poly_matrix``, which made v_0..v_n at
+    x = 0..n t.  When poly is monic and, at every w, each root of poly(w, .)
+    is an eigenvalue of A(w), as for the squarefree part m of the
+    characteristic polynomial (m^k = char), D <= e t <= n t and this check
+    makes no product of its own.  For real |w| >= 1 each entry of A(w) is at
+    most C |w|^t in size, so each eigenvalue is at most n C |w|^t, and
+    p_j(w) = +-e_(e-j)(roots of poly(w, .)) is at most
+    binom(e, j) (n C |w|^t)^(e-j): deg p_j <= (e - j) t.  The roots of
+    m(w, .) are those of char(w, .), so e <= n too.
     """
-    den, deg, at = a.integer_form()
     pc = _int_coeff_lists(poly.coeffs)[0]
     e = len(pc) - 1
+    den, deg = a.den, a.deg
     cs = [[c * den ** (e - j) for c in p] for j, p in enumerate(pc)]
     bound = max((len(c) - 1 + j * deg for j, c in enumerate(cs) if c), default=0)
     for x in range(bound + 1):
-        b = at(x)
-        vec = [0] * a.n
-        for c in reversed(cs):
-            vec = [sum(map(mul, row, vec)) for row in b]
-            vec[0] += _horner(c, x)
-        if any(vec):
+        cx = [_horner(c, x) for c in cs]
+        if any(sum(map(mul, cx, entry)) for entry in zip(*a.krylov(x, e)[: e + 1])):
             return False
     return True
 
@@ -1161,7 +1196,7 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
     and a witness base w0 where m(w0, eta) is squarefree.
 
     It works on char_B(mu) = den^n char(mu / den), the characteristic
-    polynomial of B = den * A (``_integer_matrix``), monic in Z[w][mu] with
+    polynomial of B = den * A (``PolyMatrix``), monic in Z[w][mu] with
     coefficients den^(n-j) char_j; a char that does not scale so raises.
     Scaling eta by den keeps each fibre's root multiplicities, so the walk
     finds m_B(mu) = den^e m(mu / den) at the base where one over Q[w] finds
@@ -1180,10 +1215,10 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
     n (n - 1) t + 1 bases, and a walk that finds none has found a defect.
 
     m is also checked to annihilate the matrix with ``annihilates_unit``,
-    whose premise on ``a`` it inherits; that check reuses the integer
-    points at which ``char_poly_matrix`` evaluated ``a``.
+    whose premise on ``a`` it inherits; that check reads the Krylov vectors
+    that ``char_poly_matrix`` made at the same points.
     """
-    den, deg = a.integer_form()[:2]
+    den, deg = a.den, a.deg
     n = char.degree()
     if any(den ** (n - j) % x.denominator for j, c in enumerate(char.coeffs) for x in c.coeffs):
         raise InternalCheckError("characteristic polynomial does not scale into Z[w] with the matrix")

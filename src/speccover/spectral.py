@@ -9,7 +9,7 @@ covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -148,12 +148,16 @@ class CharData:
 
     ``elementary[i-1]`` is the i-th elementary symmetric function of the
     fiber eigenvalues, a form of degree i*twist; the polynomial itself uses
-    the signed versions.
+    the signed versions.  ``chart0`` is the polynomial on chart 0 exactly as
+    ``invariant_sections`` computed it, which ``annihilating_poly`` reads;
+    only ``invariant_sections`` sets it, so a hand-built CharData has None.
+    It is not compared.
     """
 
     rank: int
     twist: int
     elementary: tuple
+    chart0: EtaPoly = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, rank: int, twist: int, elementary: Sequence[BinForm]):
         elementary = tuple(elementary)
@@ -271,10 +275,8 @@ def invariant_sections(sec: SectionData, mats: tuple = None) -> CharData:
     """
     r = sec.cover.degree
     d = sec.twist_degree
-    forms = []
-    for chart, mat in enumerate(mats or _chart_matrices(sec)):
-        cp = char_poly_matrix(mat)
-        forms.append(_homogenized_eta(cp, d, chart, "characteristic polynomial"))
+    polys = [char_poly_matrix(mat) for mat in mats or _chart_matrices(sec)]
+    forms = [_homogenized_eta(cp, d, chart, "characteristic polynomial") for chart, cp in enumerate(polys)]
     if forms[0].coeffs != forms[1].coeffs:
         raise InternalCheckError("charts disagree on the characteristic polynomial")
     char = forms[0]
@@ -282,7 +284,9 @@ def invariant_sections(sec: SectionData, mats: tuple = None) -> CharData:
     for i in range(1, r + 1):
         c = char.coeff(r - i)
         elementary.append(c if i % 2 == 0 else -c)
-    return CharData(r, d, elementary)
+    data = CharData(r, d, elementary)
+    object.__setattr__(data, "chart0", polys[0])
+    return data
 
 
 def _reduced_part(mats: tuple, twist: int, char: CharData) -> tuple[EtaForm, Fraction]:
@@ -290,12 +294,12 @@ def _reduced_part(mats: tuple, twist: int, char: CharData) -> tuple[EtaForm, Fra
 
     ``mats`` are the multiplication matrices M of the section on charts 0
     and 1, and ``twist`` its twist degree.  ``min_poly_matrix`` takes m
-    once, on chart 0, and certifies it: m is squarefree at the witness base
-    and char = m^k, which together prove m = sqfree(char).  m(sigma) = 0 is
-    checked in the cover algebra on both charts, as m(M) e_0 = 0 by
-    ``annihilates_unit``.  This is as strong as m(M) = 0, because
-    ``mult_matrix`` is the regular representation of a commutative,
-    associative algebra with unit e_0, the trivial character:
+    once, on chart 0, from ``char.chart0``, and certifies it: m is
+    squarefree at the witness base and char = m^k, which together prove
+    m = sqfree(char).  m(sigma) = 0 is checked in the cover algebra on both
+    charts, as m(M) e_0 = 0 by ``annihilates_unit``.  This is as strong as
+    m(M) = 0, because ``mult_matrix`` is the regular representation of a
+    commutative, associative algebra with unit e_0, the trivial character:
     ``validate_algebra`` checks this for explicit covers, and the built-in
     constructors satisfy it by construction.
 
@@ -303,10 +307,12 @@ def _reduced_part(mats: tuple, twist: int, char: CharData) -> tuple[EtaForm, Fra
     checks ``mult_matrix``'s chart-1 dehomogenization, which the two
     characteristic polynomials agreeing in ``invariant_sections`` does not
     prove.  It runs over Z at the integer points where the chart-1
-    ``char_poly_matrix`` already evaluated the same matrix, and reuses
-    those values, as the chart-0 check does those of chart 0.
+    ``char_poly_matrix`` already made the matrix's Krylov vectors, and
+    reads them, as the chart-0 check does those of chart 0.
     """
-    minimal, base = min_poly_matrix(mats[0], char.char_form().dehomogenize(0))
+    if char.chart0 is None:
+        raise ValueError("char must come from invariant_sections")
+    minimal, base = min_poly_matrix(mats[0], char.chart0)
     form = _homogenized_eta(minimal, twist, 0, "annihilating polynomial")
     if not annihilates_unit(mats[1], form.dehomogenize(1)):
         raise InternalCheckError("annihilating polynomial fails to annihilate on chart 1")
@@ -316,8 +322,8 @@ def _reduced_part(mats: tuple, twist: int, char: CharData) -> tuple[EtaForm, Fra
 def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
     """Reduced (squarefree) part of the characteristic polynomial.
 
-    ``char`` is ``invariant_sections(sec)``; see ``_reduced_part`` for the
-    certificates.
+    ``char`` is ``invariant_sections(sec)``, and a CharData built by hand
+    raises ValueError; see ``_reduced_part`` for the certificates.
     """
     return _reduced_part(_chart_matrices(sec), sec.twist_degree, char)[0]
 
@@ -398,10 +404,11 @@ def depressed_cubic_parts(form: EtaForm):
 # singular locus
 
 
-def _rational_singular_etas(f: EtaPoly, w0: Fraction) -> list:
-    """Exact eta values where the curve is singular above a rational w0."""
-    at = poly_gcd(f.at_base(w0), f.derivative().at_base(w0))
-    at = poly_gcd(at, f.dw().at_base(w0))
+def _rational_singular_etas(f: EtaPoly, f_eta: EtaPoly, f_w: EtaPoly, w0: Fraction) -> list:
+    """Exact eta values where the curve f is singular above a rational w0;
+    f_eta and f_w are f's partial derivatives."""
+    at = poly_gcd(f.at_base(w0), f_eta.at_base(w0))
+    at = poly_gcd(at, f_w.at_base(w0))
     if at.degree() <= 0:
         return []
     roots = rational_roots(at)
@@ -412,8 +419,9 @@ def _rational_singular_etas(f: EtaPoly, w0: Fraction) -> list:
     return [root for root, _ in roots]
 
 
-def _extension_singular_eta(f: EtaPoly, p: UniPoly):
-    """Eta value (in the residue field K of p) where the curve is singular.
+def _extension_singular_eta(f: EtaPoly, f_eta: EtaPoly, f_w: EtaPoly, p: UniPoly):
+    """Eta value (in the residue field K of p) where the curve f is singular;
+    f_eta and f_w are f's partial derivatives.
 
     Returns None when the Jacobian refutes the candidate.  g = gcd(f, f_eta,
     f_w) in K[eta] is monic, of degree k say.  Only one singular value can
@@ -422,7 +430,7 @@ def _extension_singular_eta(f: EtaPoly, p: UniPoly):
     class raise instead of guessing.  f, f_eta and f_w are checked to vanish
     at eta0 in K.
     """
-    polys = (f, f.derivative(), f.dw())
+    polys = (f, f_eta, f_w)
     fk, dk, wk = (kpoly_from_etapoly(h, p) for h in polys)
     g = kpoly_gcd(kpoly_gcd(fk, dk), wk)
     k = len(g) - 1
@@ -458,21 +466,23 @@ def singular_locus(curve: SpectralCurve) -> list:
         return []
     found = []
     f = form.dehomogenize(0)
+    f_eta, f_w = f.derivative(), f.dw()
     _, factors = factor_rational(disc.dehomogenize(0))
     for p, mult in factors:
         if mult < 2:
             continue
         if p.degree() == 1:
             w0 = -p.coeffs[0]
-            for eta in _rational_singular_etas(f, w0):
+            for eta in _rational_singular_etas(f, f_eta, f_w, w0):
                 found.append(SingularPoint(0, point=ProjPoint.of(w0, 1), eta=eta))
         else:
-            eta = _extension_singular_eta(f, p)
+            eta = _extension_singular_eta(f, f_eta, f_w, p)
             if eta is not None:
                 found.append(SingularPoint(0, modulus=p, eta=eta))
     # only the point at infinity is new on the second chart, where it is w = 0
     if vanishing_order(disc, ProjPoint.of(1, 0)) >= 2:
-        for eta in _rational_singular_etas(form.dehomogenize(1), Fraction(0)):
+        f = form.dehomogenize(1)
+        for eta in _rational_singular_etas(f, f.derivative(), f.dw(), Fraction(0)):
             found.append(SingularPoint(1, point=ProjPoint.of(1, 0), eta=eta))
     found.sort(key=lambda sp: sp.locus_key())
     return found

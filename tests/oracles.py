@@ -14,6 +14,7 @@ the standard cyclic cover.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -35,7 +36,6 @@ from speccover.exactalg import (
     PolyMatrix,
     ProjPoint,
     UniPoly,
-    _integer_matrix,
     _interpolate_int,
     _pl_trim,
     _prs_resultant,
@@ -155,10 +155,15 @@ def berkowitz(m: list[list[int]]) -> list[int]:
 def char_poly_by_berkowitz(a: PolyMatrix) -> EtaPoly:
     """det(eta * id - A) for any square matrix over Q[w], with no premise on
     A: Berkowitz on each integer matrix B(x), B = den * A, at x = 0..n e,
-    and each eta-coefficient interpolated exactly and divided by den^i."""
+    and each eta-coefficient interpolated exactly and divided by den^i.
+    B(x) is evaluated from the UniPoly entries ``a.rows``, apart from the
+    matrix's own integer form."""
     n = a.n
-    den, deg, at = _integer_matrix(a)
-    samples = [berkowitz(at(x)) for x in range(n * deg + 1)]
+    den = lcm(*(c.denominator for row in a.rows for e in row for c in e.coeffs))
+    deg = max(0, max(e.degree() for row in a.rows for e in row))
+    samples = []
+    for x in range(n * deg + 1):
+        samples.append(berkowitz([[int(e.evaluate(x) * den) for e in row] for row in a.rows]))
     coeffs = []
     for i in range(n + 1):
         ints = _interpolate_int([s[i] for s in samples[: i * deg + 1]])

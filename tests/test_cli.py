@@ -517,15 +517,28 @@ def test_each_curve_job_finds_one_witness_base(monkeypatch):
 
 
 def test_each_curve_builds_each_chart_matrix_once(monkeypatch):
-    # spectral_curve builds the chart-0 and chart-1 matrices once and hands
-    # them to the characteristic polynomials, the reduced part and both
-    # annihilation checks, which scale each of them into Z[w] once; the
+    # spectral_curve builds the chart-0 and chart-1 matrices once, each
+    # straight from integer coefficient lists, and hands them to the
+    # characteristic polynomials, the reduced part and both annihilation
+    # checks, which evaluate each of them once per integer point; the
     # stability search builds its block only for an eigenvalue branch,
     # which needs eta-degree one, as a pullback has
     from speccover import covers, exactalg
 
     built = _count_everywhere(monkeypatch, covers, "mult_matrix", lambda args, out: out)
-    scaled = _count_everywhere(monkeypatch, exactalg, "_integer_matrix", lambda args, out: args[0])
+    from_ints, at = exactalg.PolyMatrix.from_ints, exactalg.PolyMatrix._at
+    scaled, points = [], []
+
+    def counted_from_ints(ints, den=1):
+        scaled.append(from_ints(ints, den))
+        return scaled[-1]
+
+    def counted_at(mat, x):
+        points.append((mat, x))
+        return at(mat, x)
+
+    monkeypatch.setattr(exactalg.PolyMatrix, "from_ints", staticmethod(counted_from_ints))
+    monkeypatch.setattr(exactalg.PolyMatrix, "_at", counted_at)
     jobs = list(curve_jobs())
     stability = jobs[-1]
     proper = dict(stability, cover={"r": 4}, section={"2": {"degree": 1, "coeffs": [1, 2]}})
@@ -533,10 +546,14 @@ def test_each_curve_builds_each_chart_matrix_once(monkeypatch):
     for job, want in [(job, 2) for job in jobs] + [(proper, 2), (pullback, 3)]:
         built.clear()
         scaled.clear()
+        points.clear()
         cli.run_job(job)
         assert len(built) == want, job["command"]
-        assert len(scaled) == 2, job["command"]
-        assert {id(mat) for mat in scaled} == {id(mat) for mat in built[:2]}, job["command"]
+        assert [id(mat) for mat in scaled] == [id(mat) for mat in built], job["command"]
+        evaluated = {id(mat) for mat, _ in points}
+        assert len(evaluated) == 2, job["command"]
+        assert evaluated == {id(mat) for mat in built[:2]}, job["command"]
+        assert len({(id(mat), x) for mat, x in points}) == len(points), job["command"]
 
 
 def test_stability_job_factors_nothing(monkeypatch):

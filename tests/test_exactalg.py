@@ -18,13 +18,22 @@ from oracles import (
     berkowitz,
     char_poly_by_berkowitz,
     euclid_kpoly_gcd,
+    mult_matrix_by_forms,
     poly_xgcd,
     resultant_coeffs,
     sylvester_matrix,
     xgcd_inverse,
 )
 from speccover import exactalg
-from speccover.covers import SectionData, make_cyclic_triple, make_double_cover, make_standard_cyclic, mult_matrix
+from speccover.covers import (
+    CoverAlgebra,
+    SectionData,
+    make_cyclic_triple,
+    make_double_cover,
+    make_standard_cyclic,
+    mult_matrix,
+    validate_algebra,
+)
 from speccover.errors import (
     DegreeError,
     InfiniteOrderError,
@@ -53,6 +62,7 @@ from speccover.exactalg import (
     resultant,
     vanishing_order,
 )
+from speccover.spectral import spectral_curve
 
 
 def det_by_permutations(mat):
@@ -164,6 +174,26 @@ def test_factor_rational_random_reconstructs():
         for p, m in factors:
             rebuilt = rebuilt * p**m
         assert rebuilt == f
+
+
+def test_factor_rational_refuses_a_factorization_that_does_not_reconstruct(monkeypatch):
+    # the reconstruction is checked over Z, with the factors' leads and the
+    # unit's denominator cleared: a rational input with non-monic factors
+    # passes, and a factor list with a wrong unit, multiplicity or factor
+    # raises
+    f = up(F(1, 2), F(-3, 4)) ** 2 * up(F(2, 3), 0, 3)
+    unit, factors = factor_rational(f)
+    assert unit == F(27, 16) and factors == [(up(F(-2, 3), 1), 2), (up(F(2, 9), 0, 1), 1)]
+    original = sympy.Poly.factor_list
+    tweaks = [
+        lambda unit, pairs: (unit * 2, pairs),
+        lambda unit, pairs: (unit, [(p, m + 1) for p, m in pairs]),
+        lambda unit, pairs: (unit, [(p + 1, m) for p, m in pairs]),
+    ]
+    for tweak in tweaks:
+        monkeypatch.setattr(sympy.Poly, "factor_list", lambda self, tweak=tweak: tweak(*original(self)))
+        with pytest.raises(InternalCheckError, match="reconstruct"):
+            factor_rational(f)
 
 
 def test_rational_roots():
@@ -539,9 +569,9 @@ def _rand_rational_unipoly(rng, deg):
     return UniPoly(cs + [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 5)))])
 
 
-def _cover_matrices():
-    """mult_matrix on both charts for standard covers r = 2-8, a cyclic
-    triple, a branched double cover and an explicit Z/2 x Z/2 cover."""
+def _cover_sections():
+    """Sections of standard covers r = 2-8, a cyclic triple, a branched
+    double cover and an explicit Z/2 x Z/2 cover."""
     rng = rng_for("charpoly-covers")
     sections = []
     for r in range(2, 9):
@@ -555,7 +585,12 @@ def _cover_matrices():
     sections.append(
         SectionData(bidouble_cover(), 2, {(0, 0): bf(2, [1, 0, -1]), (1, 0): bf(1, [1, 1]), (1, 1): bf(1, [2, -1])})
     )
-    return [mult_matrix(sec, chart) for sec in sections for chart in (0, 1)]
+    return sections
+
+
+def _cover_matrices():
+    """mult_matrix on both charts for the ``_cover_sections``."""
+    return [mult_matrix(sec, chart) for sec in _cover_sections() for chart in (0, 1)]
 
 
 def _random_support_matrices(rng, count):
@@ -810,20 +845,90 @@ def test_annihilates_unit_sees_the_last_point():
         assert not annihilates_unit(a, perturbed)
 
 
-def test_integer_points_are_shared_by_the_kernels():
-    # char_poly_matrix and annihilates_unit read one integer form of the
-    # matrix, kept with it: B(x) is evaluated once per point, and the
-    # results match those on a fresh copy of the matrix, in either order
+def test_integer_points_are_shared_by_the_kernels(monkeypatch):
+    # char_poly_matrix and annihilates_unit read one set of Krylov vectors
+    # B(x)^j e_0, kept with the matrix: char_poly_matrix makes n of them per
+    # point it visits, n * deg + 1 points, and the annihilation check of the
+    # squarefree part makes none; the results match those on a fresh copy
+    # of the matrix built from its UniPoly entries, in either order
+    products = []
+    mat_vec = exactalg._mat_vec
+
+    def counted(b, vec):
+        products.append(len(b))
+        return mat_vec(b, vec)
+
+    monkeypatch.setattr(exactalg, "_mat_vec", counted)
     for a in _cover_matrices():
+        products.clear()
         char = char_poly_matrix(a)
-        den, deg, at = a.integer_form()
-        assert a.integer_form()[2] is at and at(0) is at(0)
+        assert products == [a.n] * (a.n * (a.n * a.deg + 1))
         m = _squarefree_part(char)
         assert annihilates_unit(a, m)
+        assert len(products) == a.n * (a.n * a.deg + 1)
+        assert a.krylov(a.deg, 1) is a.krylov(a.deg, 0)
         fresh = PolyMatrix(a.rows)
-        assert fresh.integer_form() is not a.integer_form()
+        assert fresh == a and fresh.krylov(0, 0) is not a.krylov(0, 0)
         assert annihilates_unit(fresh, m) and char_poly_matrix(fresh) == char
-        assert fresh.integer_form()[2](deg) == at(deg)
+        assert fresh.krylov(a.deg, a.n) == a.krylov(a.deg, a.n)
+    # per curve: n products per point on each chart's matrix, and none in
+    # the annihilation checks of either chart
+    for sec in _cover_sections():
+        products.clear()
+        spectral_curve(sec)
+        assert len(products) == sum(a.n * (a.n * a.deg + 1) for a in (mult_matrix(sec, 0), mult_matrix(sec, 1)))
+
+
+def _rescaled(cover, rng):
+    """The same algebra on the basis lambda_rho e_rho, for random rational
+    lambda_rho (lambda = 1 on the unit): c(a, b) becomes
+    c(a, b) lambda_a lambda_b / lambda_(a + b), so no structure form need
+    have integer coefficients."""
+    group = cover.group
+    lam = {rho: F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4))) for rho in group.elements()}
+    lam[group.identity()] = F(1)
+    forms = {(a, b): form * (lam[a] * lam[b] / lam[group.add(a, b)]) for (a, b), form in cover.structure_forms.items()}
+    out = CoverAlgebra(group, cover.twist_degrees, forms)
+    assert validate_algebra(out)
+    return out
+
+
+def test_integer_built_kernels_match_oracles_on_rational_covers():
+    # mult_matrix scales rational sections and structure forms into Z[w]
+    # once; its matrix must equal the form-by-form UniPoly oracle, and the
+    # kernels that read its Krylov vectors must agree with Berkowitz and
+    # with Horner over Q[w], also for polys of degree above n, which extend
+    # the vectors on demand, and for perturbed polys, which must fail
+    rng = rng_for("integer-matrix-rational-covers")
+    covers = [make_standard_cyclic(r) for r in range(1, 9)]
+    covers += [make_cyclic_triple(_rational_form(rng, 1), _rational_form(rng, 1)),
+               make_double_cover(_rational_form(rng, 2)), bidouble_cover()]
+    checked = 0
+    for cover in covers + [_rescaled(cover, rng) for cover in covers]:
+        d = max(cover.twist_degrees.values()) + rng.randint(0, 1)
+        comps = {}
+        for rho in cover.characters():
+            if rng.random() < 0.7:
+                want = d - cover.twist(rho)
+                comps[rho] = BinForm(want, [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(want + 1)])
+        sec = SectionData(cover, d, comps)
+        for chart in (0, 1):
+            a = mult_matrix(sec, chart)
+            oracle = mult_matrix_by_forms(sec, chart)
+            assert a.rows == oracle.rows and a == oracle
+            char = char_poly_matrix(a)
+            assert char == char_poly_by_berkowitz(a)
+            m = _squarefree_part(char)
+            high = m * EtaPoly([_rand_rational_unipoly(rng, 2) for _ in range(a.n - m.degree() + 2)] + [up(F(1, 3))])
+            perturbed = m + EtaPoly.const(_rand_rational_unipoly(rng, 3) + up(F(1, 2)))
+            noise = EtaPoly([_rand_rational_unipoly(rng, rng.randint(-1, 3)) for _ in range(a.n + 3)])
+            for poly, want in [(m, True), (high, True), (perturbed, False), (noise, None)]:
+                got = annihilates_unit(a, poly)
+                assert got == annihilates_unit_by_horner(a, poly)
+                assert want is None or got == want
+            assert high.degree() > a.n and len(a.krylov(0, 0)) == high.degree() + 1
+            checked += 1
+    assert checked == 44
 
 
 def _int_lists(f):

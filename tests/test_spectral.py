@@ -199,7 +199,19 @@ def test_annihilating_matches_matrix_power_oracle():
     )
     for sec in sections:
         char = invariant_sections(sec)
+        # the chart-0 polynomial the reduced part starts from is the one
+        # the elementary forms describe
+        assert char.chart0 == char.char_form().dehomogenize(0)
         assert annihilating_poly(sec, char).coeffs == annihilating_by_matrix_powers(sec, char).coeffs
+
+
+def test_annihilating_poly_needs_invariant_sections():
+    sec = section(3, 2, {1: bf(1, [2, 1]), 2: bf(1, [1, -1])})
+    char = invariant_sections(sec)
+    by_hand = CharData(char.rank, char.twist, char.elementary)
+    assert by_hand == char and by_hand.chart0 is None
+    with pytest.raises(ValueError, match="invariant_sections"):
+        annihilating_poly(sec, by_hand)
 
 
 def test_annihilating_refuses_an_unreduced_square(monkeypatch):
@@ -382,7 +394,7 @@ def test_extension_singular_eta_matches_euclid_oracle():
         _, factors = factor_rational(eta_discriminant(form).dehomogenize(0))
         for p, mult in factors:
             if mult >= 2 and p.degree() >= 2:
-                got = outcome(spectral._extension_singular_eta, f, p)
+                got = outcome(lambda f, p: spectral._extension_singular_eta(f, f.derivative(), f.dw(), p), f, p)
                 assert got == outcome(euclid_singular_eta, f, p), (r, d, sec.components, p)
                 loci += 1
                 points += isinstance(got, ExtElem)
@@ -396,9 +408,11 @@ def test_extension_singular_eta_reads_off_a_repeated_value():
     # values that one residue-field element cannot represent
     mod = up(1, 0, 1)
     line = ep(up(0, -1), 1)
-    assert spectral._extension_singular_eta(line**3, mod) == reduce_mod(up(0, 1), mod)
+    f = line**3
+    assert spectral._extension_singular_eta(f, f.derivative(), f.dw(), mod) == reduce_mod(up(0, 1), mod)
+    f = ep(up(0, 0, -1), 0, 1) ** 2
     with pytest.raises(SingularityNotRepresentableError):
-        spectral._extension_singular_eta(ep(up(0, 0, -1), 0, 1) ** 2, mod)
+        spectral._extension_singular_eta(f, f.derivative(), f.dw(), mod)
 
 
 def test_singular_locus_unrepresentable_eta():
