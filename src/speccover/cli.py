@@ -69,6 +69,10 @@ SCHEMA_VERSION = "1"
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "repro_golden.json")
 
+# the stability search lists all 2^l - 2 block subsets of the l summands, so
+# a longer m_degrees is refused: l = 12 already gives a 0.6 MB report
+MAX_M_DEGREES = 12
+
 # errors that mean "the job asked for something its data cannot support",
 # or for an answer the package cannot represent
 _INPUT_ERRORS = (
@@ -135,8 +139,12 @@ def validate_job(job) -> None:
         _need_at_least(job["twist_degree"], 0, "$.twist_degree")
     if not isinstance(job.get("section", {}), (dict, list)):
         raise JobError(f"$.section: expected an object or an array, got {job['section']!r}")
-    if "m_degrees" in job and not sz._need_ints(job["m_degrees"], "$.m_degrees"):
-        raise JobError("$.m_degrees: expected at least one degree")
+    if "m_degrees" in job:
+        ell = len(sz._need_ints(job["m_degrees"], "$.m_degrees"))
+        if not ell:
+            raise JobError("$.m_degrees: expected at least one degree")
+        if ell > MAX_M_DEGREES:
+            raise JobError(f"$.m_degrees: {ell} summands, more than the maximum of {MAX_M_DEGREES}")
     if "ample_degree" in job:
         _need_at_least(job["ample_degree"], 1, "$.ample_degree")
     if "line_degree" in job:

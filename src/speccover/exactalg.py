@@ -3,7 +3,10 @@ characteristic/minimal polynomials of polynomial matrices, and quotient-ring
 elements for certifying facts at non-rational points.
 
 Everything here is exact. There are no floats anywhere; coefficients are
-`fractions.Fraction` throughout, and every division is checked.
+stored as `fractions.Fraction`s, and every division is checked.  `UniPoly`
+and `BinForm` multiply, raise to powers, evaluate, divide and print over Z:
+each operand is scaled by its common denominator once, and each result
+coefficient is divided back once.
 
 Conventions used by the whole package:
 
@@ -67,8 +70,19 @@ def as_rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def _fmt_rat(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _term(c: Fraction, mono: str) -> tuple[bool, str]:
+    """(c < 0, |c| * mono as printed), with a unit coefficient left out."""
+    n, d = c.numerator, c.denominator
+    mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+    if mono:
+        mag = mono if mag == "1" else f"{mag}*{mono}"
+    return n < 0, mag
+
+
+def _join_terms(terms: Iterable[tuple[bool, str]]) -> str:
+    """"a - b + c" from _term pairs, the first sign attached; "0" if none."""
+    text = " ".join(("- " if neg else "+ ") + mag for neg, mag in terms)
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +251,45 @@ class UniPoly(_Poly):
     def __hash__(self):
         return hash(("UniPoly", self.coeffs))
 
+    def __mul__(self, other):
+        (a, da), (b, db) = _scaled(self), _scaled(self._coerce(other))
+        return UniPoly(_fracs((a * b).coeffs, da * db))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        a, da = _scaled(self)
+        return UniPoly(_fracs((a**n).coeffs, da**n))
+
     def divmod(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
+        """Pseudo-division over Z, scaled back once.  With F = D self and
+        G = D other for their common denominator D, each step multiplies
+        the remainder and quotient by only the part of lc(G) that does not
+        divide the remainder's lead, so s F = Q G + R with s the product of
+        those parts, and self = (Q / s) other + R / (s D)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return UniPoly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        dlead = other.lead
+        (rem, g), den = _int_coeff_lists((self, other))
+        n, lc = len(g) - 1, g[-1]
+        quo, s = [0] * (dq + 1), 1
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] / dlead
+            top = rem[k + n]
+            if not top:
+                continue
+            h = gcd(top, lc)
+            m = abs(lc) // h
+            if m != 1:
+                rem = [c * m for c in rem]
+                quo = [c * m for c in quo]
+                s *= m
+            c = top // h if lc > 0 else -(top // h)
             quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UniPoly(quo), UniPoly(rem[: other.degree()] if other.degree() > 0 else ())
+            for j in range(n):
+                rem[k + j] -= c * g[j]
+        return UniPoly(_fracs(quo, s)), UniPoly(_fracs(rem[:n], s * den))
 
     def __mod__(self, other: UniPoly) -> UniPoly:
         return self.divmod(other)[1]
@@ -270,34 +307,22 @@ class UniPoly(_Poly):
         return UniPoly(tuple(c * inv for c in self.coeffs))
 
     def evaluate(self, x) -> Fraction:
+        """Horner over Z at x = a/b: sum of c_i a^i b^(n-i), over den b^n."""
         x = as_rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        (cs,), den = _int_coeff_lists((self,))
+        acc, bp = 0, 1
+        for c in reversed(cs):
+            acc = acc * a + c * bp
+            bp *= b
+        return Fraction(acc * b, den * bp)
 
     def str_in(self, var: str) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                term = _fmt_rat(c)
-            else:
-                mag = "" if abs(c) == 1 else _fmt_rat(abs(c)) + "*"
-                if c < 0:
-                    mag = "-" + mag
-                term = mag + (var if i == 1 else f"{var}^{i}")
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts)
+        return _join_terms(
+            _term(c, var if i == 1 else f"{var}^{i}" if i else "")
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
 
     def __str__(self) -> str:
         return self.str_in("w")
@@ -531,22 +556,22 @@ class BinForm:
             return BinForm(self.degree, tuple(c * a for a in self.coeffs))
         if not isinstance(other, BinForm):
             raise TypeError(f"cannot multiply BinForm by {other!r}")
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return BinForm(self.degree + other.degree, out)
+        (a, da), (b, db) = _scaled(self), _scaled(other)
+        return BinForm._of(self.degree + other.degree, a * b, da * db)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> BinForm:
         if n < 0:
             raise ValueError("negative power of a form")
-        out = BinForm.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        a, da = _scaled(self)
+        return BinForm._of(self.degree * n, a**n, da**n)
+
+    @classmethod
+    def _of(cls, degree: int, p: _ZPoly, den: int) -> BinForm:
+        """p / den as a form of the given degree, zero-padded at the top."""
+        cs = _fracs(p.coeffs, den)
+        return cls(degree, cs + [Fraction(0)] * (degree + 1 - len(cs)))
 
     def evaluate(self, s0, t0) -> Fraction:
         s0, t0 = as_rat(s0), as_rat(t0)
@@ -565,32 +590,14 @@ class BinForm:
         raise ValueError("chart must be 0 or 1")
 
     def str_in(self, u: str, v: str) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            j = self.degree - i
-            factors = []
-            if i:
-                factors.append(u if i == 1 else f"{u}^{i}")
-            if j:
-                factors.append(v if j == 1 else f"{v}^{j}")
-            mono = "*".join(factors)
-            if not mono:
-                term = _fmt_rat(c)
-            else:
-                mag = "" if abs(c) == 1 else _fmt_rat(abs(c)) + "*"
-                term = ("-" if c < 0 else "") + mag + mono
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts)
+        def power(x: str, k: int) -> list:
+            return [x if k == 1 else f"{x}^{k}"] if k else []
+
+        return _join_terms(
+            _term(c, "*".join(power(u, i) + power(v, self.degree - i)))
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
 
     def __str__(self) -> str:
         return self.str_in("s", "t")
@@ -861,6 +868,16 @@ def _int_coeff_lists(polys: Sequence[UniPoly]) -> tuple[list, int]:
     denominator."""
     den = lcm(*(c.denominator for p in polys for c in p.coeffs))
     return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
+
+
+def _scaled(p) -> tuple[_ZPoly, int]:
+    """(den * p over Z, den) for a UniPoly or BinForm p."""
+    (cs,), den = _int_coeff_lists((p,))
+    return _ZPoly(cs), den
+
+
+def _fracs(cs: Sequence[int], den: int) -> list:
+    return [Fraction(c, den) for c in cs]
 
 
 def _horner(cs: list, x: int) -> int:

@@ -40,12 +40,12 @@ from .stability import (
     SubsheafRecord,
 )
 
-_RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 def rat_to_json(x) -> str:
-    x = Fraction(x)
-    return str(x)
+    """An int or Fraction as "p" or "p/q", printed from its integers."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def rat_from_json(v, where: str = "value") -> Fraction:
@@ -53,8 +53,9 @@ def rat_from_json(v, where: str = "value") -> Fraction:
         raise JobError(f"{where}: expected a rational, got a boolean")
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str) and _RAT_RE.match(v):
-        return Fraction(v)
+    m = _RAT_RE.fullmatch(v) if isinstance(v, str) else None
+    if m:
+        return Fraction(int(m[1]), int(m[2] or 1))
     raise JobError(f'{where}: expected an integer or "p/q" string, got {v!r}')
 
 

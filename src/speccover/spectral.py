@@ -218,9 +218,6 @@ class SingularPoint:
     eta: Union[Fraction, ExtElem] = Fraction(0)
     certificate: str = "jacobian"
 
-    def is_rational(self) -> bool:
-        return self.point is not None
-
     def locus_key(self):
         """Canonical sort/set key: chart, factor degree, coefficients, eta."""
         if self.point is not None:

@@ -3,7 +3,8 @@
 Nothing in the package calls these.  Each one is either an independent way
 to compute something the package computes (the Sylvester matrix, resultants
 over Q[w] and Q[w][eta] by one remainder sequence, characteristic
-polynomials of arbitrary matrices by Berkowitz, the multiplication matrix
+polynomials of arbitrary matrices by Berkowitz, polynomial and form
+arithmetic and printing in Fraction arithmetic, the multiplication matrix
 class by class and form by form, the annihilating polynomial by matrix powers, the
 annihilation check by Horner over Q[w], the triple-cover criterion, points
 of the source mapped onto the curve, residue-field inverses and gcds by
@@ -401,6 +402,137 @@ def polynomial_branches_by_lifting(f: EtaPoly, base, d: int) -> tuple:
             roots.append(cand)
     roots.sort(key=lambda p: (p.degree(), p.coeffs))
     return tuple(roots)
+
+
+# ---------------------------------------------------------------------------
+# UniPoly and BinForm arithmetic and printing coefficient by coefficient in
+# Fraction arithmetic, as the package did before it scaled to integers
+
+
+def fraction_mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    if not a.coeffs or not b.coeffs:
+        return UniPoly.zero()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] = out[i + j] + x * y
+    return UniPoly(out)
+
+
+def fraction_pow(a: UniPoly, n: int) -> UniPoly:
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    out = UniPoly.one()
+    base = a
+    while n:
+        if n & 1:
+            out = fraction_mul(out, base)
+        n >>= 1
+        if n:
+            base = fraction_mul(base, base)
+    return out
+
+
+def fraction_evaluate(p: UniPoly, x) -> Fraction:
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dq = len(rem) - len(b.coeffs)
+    if dq < 0:
+        return UniPoly.zero(), a
+    quo = [Fraction(0)] * (dq + 1)
+    dlead = b.lead
+    for k in range(dq, -1, -1):
+        c = rem[k + b.degree()] / dlead
+        quo[k] = c
+        if c:
+            for j, y in enumerate(b.coeffs):
+                rem[k + j] -= c * y
+    return UniPoly(quo), UniPoly(rem[: b.degree()] if b.degree() > 0 else ())
+
+
+def _fmt_rat(c: Fraction) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def fraction_str_in(p: UniPoly, var: str) -> str:
+    if p.is_zero():
+        return "0"
+    parts = []
+    for i in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[i]
+        if not c:
+            continue
+        if i == 0:
+            term = _fmt_rat(c)
+        else:
+            mag = "" if abs(c) == 1 else _fmt_rat(abs(c)) + "*"
+            if c < 0:
+                mag = "-" + mag
+            term = mag + (var if i == 1 else f"{var}^{i}")
+        if parts and not term.startswith("-"):
+            parts.append("+ " + term)
+        elif parts:
+            parts.append("- " + term[1:])
+        else:
+            parts.append(term)
+    return " ".join(parts)
+
+
+def fraction_form_mul(f: BinForm, g: BinForm) -> BinForm:
+    out = [Fraction(0)] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            for j, b in enumerate(g.coeffs):
+                out[i + j] += a * b
+    return BinForm(f.degree + g.degree, out)
+
+
+def fraction_form_pow(f: BinForm, n: int) -> BinForm:
+    if n < 0:
+        raise ValueError("negative power of a form")
+    out = BinForm.const(1)
+    for _ in range(n):
+        out = fraction_form_mul(out, f)
+    return out
+
+
+def fraction_form_str_in(f: BinForm, u: str, v: str) -> str:
+    if f.is_zero():
+        return "0"
+    parts = []
+    for i in range(f.degree, -1, -1):
+        c = f.coeffs[i]
+        if not c:
+            continue
+        j = f.degree - i
+        factors = []
+        if i:
+            factors.append(u if i == 1 else f"{u}^{i}")
+        if j:
+            factors.append(v if j == 1 else f"{v}^{j}")
+        mono = "*".join(factors)
+        if not mono:
+            term = _fmt_rat(c)
+        else:
+            mag = "" if abs(c) == 1 else _fmt_rat(abs(c)) + "*"
+            term = ("-" if c < 0 else "") + mag + mono
+        if parts and not term.startswith("-"):
+            parts.append("+ " + term)
+        elif parts:
+            parts.append("- " + term[1:])
+        else:
+            parts.append(term)
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

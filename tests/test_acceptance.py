@@ -284,7 +284,7 @@ def test_gate_08_genus_and_conic_nodes(capsys):
                     break
             points = singular_locus(spectral_curve(section(2, d, {1: g})))
             nodes = sum(
-                1 if sp.is_rational() else sp.modulus.degree() for sp in points
+                1 if sp.point is not None else sp.modulus.degree() for sp in points
             )
             assert nodes == d - 1
 

@@ -59,9 +59,13 @@ def test_rational_encoding():
     assert sz.rat_from_json("3/4") == F(3, 4)
     assert sz.rat_from_json("-12") == F(-12)
     assert sz.rat_from_json(9) == F(9)
+    # strings in lowest terms or not parse as Fraction(str) does
+    for text in ("6/8", "-0", "007/14", "-10/5", "123456789012345678901234567890/7"):
+        assert sz.rat_from_json(text) == F(text)
+        assert sz.rat_to_json(sz.rat_from_json(text)) == str(F(text))
 
 
-@pytest.mark.parametrize("bad", ["3/0", "1/-2", "a", "1.5", "", None, True, [1]])
+@pytest.mark.parametrize("bad", ["3/0", "1/-2", "a", "1.5", "", None, True, [1], "3\n", "3/4\n"])
 def test_rational_rejects_junk(bad):
     with pytest.raises(JobError):
         sz.rat_from_json(bad)
@@ -279,6 +283,22 @@ def test_malformed_section_exits_two_without_output(tmp_path, capsys):
     assert cli.main(["compute", "--input", path, "--output", str(out)]) == 2
     assert not out.exists()
     assert "section.1" in capsys.readouterr().err
+
+
+def test_long_m_degrees_refused_before_the_search(tmp_path, capsys, monkeypatch):
+    # the search is never reached: 2^13 - 2 block subsets would be listed
+    def no_search(*args):
+        raise AssertionError("the stability search ran")
+
+    monkeypatch.setattr(cli, "gieseker_verdict", no_search)
+    job = {"command": "stability", "cover": {"r": 2}, "twist_degree": 2,
+           "section": {"1": {"degree": 1, "coeffs": [1, 1]}}}
+    out = tmp_path / "report.json"
+    too_long = dict(job, m_degrees=[0] * (cli.MAX_M_DEGREES + 1))
+    assert cli.main(["stability", "--input", write_job(tmp_path, too_long), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "$.m_degrees: 13 summands, more than the maximum of 12" in capsys.readouterr().err
+    cli.validate_job(dict(job, m_degrees=[0] * cli.MAX_M_DEGREES))
 
 
 def test_explicit_cover_entries_are_checked(tmp_path, capsys):

@@ -18,6 +18,14 @@ from oracles import (
     berkowitz,
     char_poly_by_berkowitz,
     euclid_kpoly_gcd,
+    fraction_divmod,
+    fraction_evaluate,
+    fraction_form_mul,
+    fraction_form_pow,
+    fraction_form_str_in,
+    fraction_mul,
+    fraction_pow,
+    fraction_str_in,
     mult_matrix_by_forms,
     poly_xgcd,
     resultant_coeffs,
@@ -201,6 +209,119 @@ def test_rational_roots():
     f = up(-1, 2) ** 2 * up(3, 1)
     roots = rational_roots(f)
     assert roots == [(F(-3), 1), (F(1, 2), 2)]
+
+
+# ---------------------------------------------------------------------------
+# UniPoly and BinForm arithmetic over Z against the Fraction loops
+
+
+def _rand_rat(rng) -> Fraction:
+    """0, +-1, small, or large with a small, negative or large denominator."""
+    if rng.random() < 0.2:
+        return F(0)
+    num = rng.choice([1, -1, rng.randint(-9, 9), rng.randint(-(10**30), 10**30)])
+    den = rng.choice([1, 1, -1, rng.randint(2, 12), -rng.randint(2, 12), rng.randint(10**18, 10**24)])
+    return F(num, den)
+
+
+def _rand_coeffs(rng, max_deg: int) -> list:
+    """Coefficients of a random degree up to max_deg; some are empty (the
+    zero polynomial), constant, or end in zeros."""
+    deg = rng.choice([-1, 0, rng.randint(1, 5), rng.randint(1, max_deg)])
+    cs = [_rand_rat(rng) for _ in range(deg + 1)]
+    if cs and rng.random() < 0.2:
+        cs[-1] = F(0)
+    return cs
+
+
+def _same_form(f: BinForm, g: BinForm) -> bool:
+    return f.degree == g.degree and f.coeffs == g.coeffs
+
+
+def test_unipoly_products_and_powers_match_fraction_loops():
+    rng = rng_for("zmul")
+    for _ in range(300):
+        a, b = UniPoly(_rand_coeffs(rng, 40)), UniPoly(_rand_coeffs(rng, 40))
+        ab = a * b
+        assert ab == fraction_mul(a, b) and all(type(c) is Fraction for c in ab.coeffs)
+        c = _rand_rat(rng)
+        assert a * c == c * a == fraction_mul(a, UniPoly.const(c))
+        assert 3 * a == fraction_mul(a, UniPoly.const(3))
+        for n in range(6 if a.degree() <= 8 else 3):
+            assert a**n == fraction_pow(a, n)
+    with pytest.raises(ValueError):
+        up(1, 1) ** -1
+    assert UniPoly.zero() ** 0 == UniPoly.one()
+
+
+def test_unipoly_evaluate_matches_fraction_horner():
+    rng = rng_for("zeval")
+    points = [0, 1, -1, 7, -12, F(1, 2), F(-7, 3), F(-10**20 - 1, 10**19), F(5, 12)]
+    for _ in range(200):
+        p = UniPoly(_rand_coeffs(rng, 40))
+        for x in points + [_rand_rat(rng)]:
+            value = p.evaluate(x)
+            assert value == fraction_evaluate(p, x) and type(value) is Fraction
+    assert UniPoly.zero().evaluate(F(-2, 3)) == 0
+
+
+def test_unipoly_divmod_matches_fraction_division():
+    rng = rng_for("zdivmod")
+    for _ in range(300):
+        a = UniPoly(_rand_coeffs(rng, 40))
+        b = UniPoly(_rand_coeffs(rng, 12) or [1])
+        if b.is_zero():
+            b = UniPoly.const(_rand_rat(rng) or F(-3, 7))
+        q, r = a.divmod(b)
+        assert (q, r) == fraction_divmod(a, b)
+        assert a % b == r
+        assert (a * b).exact_div(b) == a
+        if b.degree() > 0 and not r.is_zero():
+            with pytest.raises(DegreeError):
+                a.exact_div(b)
+    # a degree-0 divisor, a rational lead, a divisor of larger degree
+    assert up(2, 4, 6).divmod(up(F(-2, 3))) == (up(-3, -6, -9), UniPoly.zero())
+    assert up(1, 0, 1).divmod(up(1, F(2, 3))) == fraction_divmod(up(1, 0, 1), up(1, F(2, 3)))
+    assert up(1, 2).divmod(up(0, 0, 5)) == (UniPoly.zero(), up(1, 2))
+    with pytest.raises(DegreeError):
+        up(1, 0, 1).exact_div(up(1, F(2, 3)))
+    with pytest.raises(ZeroDivisionError):
+        up(1).divmod(UniPoly.zero())
+
+
+def test_str_in_matches_fraction_printing():
+    rng = rng_for("zstr")
+    pick = [F(1), F(-1), F(0), F(2), F(-2), F(1, 2), F(-1, 2), F(-10**20, 3)]
+    for _ in range(300):
+        cs = [rng.choice(pick) for _ in range(rng.randint(0, 8))]
+        p = UniPoly(cs)
+        assert p.str_in("w") == fraction_str_in(p, "w")
+        f = BinForm(len(cs) - 1, cs) if cs else BinForm.zero(0)
+        assert f.str_in("s", "t") == fraction_form_str_in(f, "s", "t")
+    assert up(-1, 0, -1).str_in("w") == "-w^2 - 1"
+    assert bf(2, [F(1, 2), -1, 1]).str_in("s", "t") == "s^2 - s*t + 1/2*t^2"
+    assert BinForm.zero(3).str_in("s", "t") == "0"
+
+
+def test_binform_products_and_powers_match_fraction_loops():
+    rng = rng_for("zform")
+    for _ in range(300):
+        f, g = (BinForm(len(cs) - 1, cs) if cs else BinForm.zero(rng.randint(0, 4))
+                for cs in (_rand_coeffs(rng, 40), _rand_coeffs(rng, 40)))
+        assert _same_form(f * g, fraction_form_mul(f, g))
+        assert _same_form(f * F(-2, 3), fraction_form_mul(f, BinForm.const(F(-2, 3))))
+        for n in range(6 if f.degree <= 8 else 3):
+            assert _same_form(f**n, fraction_form_pow(f, n))
+    # the zero form and a form ending in zeros keep their nominal degrees
+    zero = BinForm.zero(3)
+    assert _same_form(zero * bf(2, [1, 2, 0]), BinForm.zero(5))
+    assert _same_form(zero**2, BinForm.zero(6))
+    assert _same_form(zero**0, BinForm.const(1))
+    assert _same_form(bf(2, [1, 0, 0]) ** 3, bf(6, [1]))
+    with pytest.raises(ValueError):
+        BinForm.s() ** -1
+    with pytest.raises(DegreeError):
+        bf(1, [1, 1]) - bf(2, [1, 0, 1])
 
 
 # ---------------------------------------------------------------------------
