@@ -52,8 +52,8 @@ from .spectral import (
     arithmetic_genus,
     cubic_delta,
     depressed_cubic_parts,
-    discriminant_eta,
     double_cover_singularities,
+    eta_discriminant,
     singular_locus,
     spectral_curve,
 )
@@ -238,7 +238,7 @@ def _run_compute(job, chart):
 def _run_discriminant(job, chart):
     sec = _section_from_job(job)
     curve = spectral_curve(sec)
-    disc = discriminant_eta(curve)
+    disc = eta_discriminant(curve.annihilating)
     results = {
         "discriminant": sz.form_to_json(disc),
         "eta_degree": curve.annihilating.degree,

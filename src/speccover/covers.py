@@ -209,9 +209,6 @@ class SectionData:
             return form
         return BinForm.zero(max(self.twist_degree - self.cover.twist(rho), 0))
 
-    def support(self) -> list:
-        return sorted(self.components.keys())
-
     def is_zero(self) -> bool:
         return not self.components
 

@@ -92,7 +92,7 @@ def _join_terms(terms: Iterable[tuple[bool, str]]) -> str:
 
 def _pl_trim(cs: list) -> list:
     """Strip trailing zeros, in place, from a coefficient list over any ring
-    whose zero is falsy: int, Fraction, UniPoly, EtaPoly or ExtElem."""
+    whose zero is falsy: int, Fraction, _ZPoly, UniPoly or EtaPoly."""
     while cs and not cs[-1]:
         cs.pop()
     return cs
@@ -1266,65 +1266,20 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
 
 @dataclass(frozen=True)
 class ExtElem:
-    """Element of Q[w]/(modulus); modulus monic of degree >= 1.
+    """Element of Q[w]/(modulus); modulus monic of degree >= 1, value
+    reduced modulo it.
 
     For irreducible moduli this is a number field; the package only builds
-    them with irreducible moduli, which makes `inv` total on nonzero elements
-    and the monic gcd of `kpoly_gcd` unique.
+    them with irreducible moduli, which makes `inv` total on nonzero
+    elements.  It holds the eta value of a singular point; the arithmetic
+    of K = Q[w]/(p) runs in `kpoly_gcd` and `vanishes_at`.
     """
 
     modulus: UniPoly
     value: UniPoly
 
-    @classmethod
-    def make(cls, value: UniPoly, modulus: UniPoly) -> ExtElem:
-        if modulus.degree() < 1:
-            raise ModulusError("modulus must have degree >= 1")
-        if modulus.lead != 1:
-            modulus = modulus.monic()
-        return cls(modulus, value % modulus)
-
-    def _check(self, other: ExtElem):
-        if self.modulus != other.modulus:
-            raise ModulusError("mixed moduli in quotient-ring arithmetic")
-
     def is_zero(self) -> bool:
         return self.value.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __add__(self, other) -> ExtElem:
-        other = self._coerce(other)
-        self._check(other)
-        return ExtElem(self.modulus, (self.value + other.value) % self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> ExtElem:
-        return ExtElem(self.modulus, -self.value % self.modulus)
-
-    def __sub__(self, other) -> ExtElem:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> ExtElem:
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> ExtElem:
-        other = self._coerce(other)
-        self._check(other)
-        return ExtElem(self.modulus, (self.value * other.value) % self.modulus)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other) -> ExtElem:
-        if isinstance(other, ExtElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtElem(self.modulus, UniPoly.const(as_rat(other)))
-        if isinstance(other, UniPoly):
-            return ExtElem(self.modulus, other % self.modulus)
-        raise TypeError(f"cannot combine ExtElem with {other!r}")
 
     def inv(self) -> ExtElem:
         """Inverse by fraction-free (Bareiss) elimination over Z.  No
@@ -1374,7 +1329,7 @@ class ExtElem:
             acc = prev * rows[i][k] - sum(rows[i][j] * sol[j] for j in range(i + 1, k))
             sol[i] = acc // rows[i][i]
         out = ExtElem(self.modulus, UniPoly(Fraction(x * den, prev) for x in sol))
-        if (self * out).value != UniPoly.one():
+        if (self.value * out.value) % self.modulus != 1:
             raise InternalCheckError("residue-field inverse fails to multiply back to 1")
         return out
 
@@ -1383,14 +1338,16 @@ class ExtElem:
 
 
 def reduce_mod(p: UniPoly, modulus: UniPoly) -> ExtElem:
-    return ExtElem.make(p, modulus)
+    """p in Q[w]/(modulus), the modulus made monic."""
+    if modulus.degree() < 1:
+        raise ModulusError("modulus must have degree >= 1")
+    if modulus.lead != 1:
+        modulus = modulus.monic()
+    return ExtElem(modulus, p % modulus)
 
 
-# polynomials in eta over a residue field K = Q[w]/(p): plain lists of ExtElem
-
-
-def kpoly_from_etapoly(f: EtaPoly, modulus: UniPoly) -> list[ExtElem]:
-    return _pl_trim([reduce_mod(c, modulus) for c in f.coeffs])
+# polynomials in eta over a residue field K = Q[w]/(p): EtaPolys whose
+# coefficients are reduced modulo p
 
 
 def _is_prime(n: int) -> bool:
@@ -1550,22 +1507,24 @@ def _divides_in_field(g: list, f: list, pm: list) -> bool:
     return not f
 
 
-def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
+def kpoly_gcd(a: EtaPoly, b: EtaPoly, p: UniPoly) -> EtaPoly:
     """Monic gcd of eta-polynomials over the residue field K = Q[w]/(p), by
     the modular algorithm of Encarnacion (J. Symb. Comp. 1995) and Monagan
-    and van Hoeij (ISSAC 2004), certified by exact division.
+    and van Hoeij (ISSAC 2004), certified by exact division.  The inputs
+    are reduced modulo p here, and so are the coefficients of the result.
 
-    p is irreducible, as ``ExtElem`` takes it, so K is a field and the monic
-    gcd G is unique.  Let a be the input of larger degree.  The primes q of
-    ``_gcd_primes`` are tried in turn.  q is refused when it divides a
-    denominator of p, a or b, when p mod q is not squarefree, or when monic
-    Euclid in (F_q[w]/(p mod q))[eta] meets a leading coefficient that is
-    not a unit, lc(a) first; otherwise it gives a monic image g_q.  Only the
-    images of the least degree seen are kept.  They are combined by CRT,
-    and each rational w-coefficient is recovered by rational
-    reconstruction.  Once the reconstruction g agrees with the image of the
-    next prime, g is returned if it divides a and b exactly, which
-    ``_divides_in_field`` decides over Z.
+    p must be monic of degree >= 1, or ModulusError is raised.  It is taken
+    to be irreducible, so K is a field and the monic gcd G is unique.  Let
+    a be the input of larger degree.  The primes q of ``_gcd_primes`` are
+    tried in turn.  q is refused when it divides a denominator of p, a or
+    b, when p mod q is not squarefree, or when monic Euclid in
+    (F_q[w]/(p mod q))[eta] meets a leading coefficient that is not a unit,
+    lc(a) first; otherwise it gives a monic image g_q.  Only the images of
+    the least degree seen are kept.  They are combined by CRT, and each
+    rational w-coefficient is recovered by rational reconstruction.  Once
+    the reconstruction g agrees with the image of the next prime, g is
+    returned if it divides a and b exactly, which ``_divides_in_field``
+    decides over Z.
 
     Why that g is G.  Let q be an accepted prime.  p is monic over Z_(q)
     and p mod q is squarefree, so by Dedekind's criterion O = Z_(q)[w]/(p)
@@ -1588,17 +1547,15 @@ def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
     next image but fail the division, which only finitely many unlucky
     primes can cause.
     """
-    a, b = _pl_trim(list(a)), _pl_trim(list(b))
+    if p.degree() < 1 or p.lead != 1:
+        raise ModulusError(f"residue-field modulus {p} is not monic of degree >= 1")
+    a, b = (_pl_trim([c % p for c in f.coeffs]) for f in (a, b))
     if len(a) < len(b):
         a, b = b, a
     if not a:
-        return []
-    modulus = a[-1].modulus
-    if any(c.modulus != modulus for c in a + b):
-        raise ModulusError("mixed moduli in a residue-field gcd")
-    k, pm = modulus.degree(), _to_int_poly(modulus)
-    (ai, aden), (bi, bden) = (_int_coeff_lists([c.value for c in f]) for f in (a, b))
-    one = ExtElem(modulus, UniPoly.one())
+        return EtaPoly.zero()
+    k, pm = p.degree(), _to_int_poly(p)
+    (ai, aden), (bi, bden) = (_int_coeff_lists(f) for f in (a, b))
     best = cand = None
     refused = 0
     for q in _gcd_primes():
@@ -1607,17 +1564,17 @@ def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
         if g is None:
             refused += 1
             if refused == _REFUSED_PRIMES:
-                raise InternalCheckError(f"{refused} primes in a row refused a gcd over {modulus}")
+                raise InternalCheckError(f"{refused} primes in a row refused a gcd over {p}")
             continue
         refused, n = 0, len(g) - 1
         if n == 0:
-            return [one]
+            return EtaPoly.one()
         image = [x for c in g[:-1] for x in c + [0] * (k - len(c))]
         if best is None or n < best:
             best, images, modulo, failed = n, image, q, 0
             for f, fi, other in ((b, bi, ai), (a, ai, bi)):
-                if len(f) == n + 1 and f[-1] == one and _divides_in_field(fi, other, pm):
-                    return f
+                if len(f) == n + 1 and f[-1] == 1 and _divides_in_field(fi, other, pm):
+                    return EtaPoly(f)
         elif n > best:
             continue
         else:
@@ -1627,10 +1584,10 @@ def kpoly_gcd(a: list[ExtElem], b: list[ExtElem]) -> list[ExtElem]:
                 den = lcm(*(x.denominator for x in cand))
                 gi = [[int(x * den) for x in cand[i : i + k]] for i in range(0, n * k, k)] + [[den]]
                 if _divides_in_field(gi, ai, pm) and _divides_in_field(gi, bi, pm):
-                    return [ExtElem(modulus, UniPoly(cand[i : i + k])) for i in range(0, n * k, k)] + [one]
+                    return EtaPoly([UniPoly(cand[i : i + k]) for i in range(0, n * k, k)] + [1])
                 failed += 1
                 if failed == _FAILED_CERTIFICATES:
-                    raise InternalCheckError(f"{failed} agreeing candidates failed to divide over {modulus}")
+                    raise InternalCheckError(f"{failed} agreeing candidates failed to divide over {p}")
             inv = pow(modulo, -1, q)
             images = [x + modulo * ((y - x) * inv % q) for x, y in zip(images, image)]
             modulo *= q

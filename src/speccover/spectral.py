@@ -32,7 +32,6 @@ from .exactalg import (
     char_poly_matrix,
     factor_rational,
     homogenize,
-    kpoly_from_etapoly,
     kpoly_gcd,
     min_poly_matrix,
     poly_gcd,
@@ -94,14 +93,6 @@ class EtaForm:
 
     def dehomogenize(self, chart: int) -> EtaPoly:
         return EtaPoly([c.dehomogenize(chart) for c in self.coeffs])
-
-    def evaluate(self, s0, t0, eta0) -> Fraction:
-        total = Fraction(0)
-        power = Fraction(1)
-        for c in self.coeffs:
-            total += c.evaluate(s0, t0) * power
-            power *= Fraction(eta0)
-        return total
 
     def __mul__(self, other: EtaForm) -> EtaForm:
         if self.twist != other.twist:
@@ -368,10 +359,6 @@ def eta_discriminant(form: EtaForm) -> BinForm:
     return out[0]
 
 
-def discriminant_eta(curve: SpectralCurve) -> BinForm:
-    return eta_discriminant(curve.annihilating)
-
-
 def cubic_delta(a: BinForm, b: BinForm) -> BinForm:
     """The combination 4a^3 + 27b^2 for a depressed cubic eta^3 + a eta + b."""
     if 3 * a.degree != 2 * b.degree:
@@ -427,18 +414,16 @@ def _extension_singular_eta(f: EtaPoly, f_eta: EtaPoly, f_w: EtaPoly, p: UniPoly
     class raise instead of guessing.  f, f_eta and f_w are checked to vanish
     at eta0 in K.
     """
-    polys = (f, f_eta, f_w)
-    fk, dk, wk = (kpoly_from_etapoly(h, p) for h in polys)
-    g = kpoly_gcd(kpoly_gcd(fk, dk), wk)
-    k = len(g) - 1
+    g = kpoly_gcd(kpoly_gcd(f, f_eta, p), f_w, p)
+    k = g.degree()
     if k < 1:
         return None
-    if k > 1 and len(kpoly_gcd(g, [c * j for j, c in enumerate(g) if j])) != k:
+    if k > 1 and kpoly_gcd(g, g.derivative(), p).degree() != k - 1:
         raise SingularityNotRepresentableError(
             f"several singular eta values over the divisor {p.str_in('w')} = 0"
         )
-    eta0 = -g[k - 1] * Fraction(1, k)
-    if not all(vanishes_at(h, eta0) for h in polys):
+    eta0 = ExtElem(p, g.coeffs[k - 1] * Fraction(-1, k))
+    if not all(vanishes_at(h, eta0) for h in (f, f_eta, f_w)):
         raise InternalCheckError("singular eta value is not a root of f, f_eta and f_w")
     return eta0
 

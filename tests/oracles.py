@@ -41,7 +41,6 @@ from speccover.exactalg import (
     _pl_trim,
     _prs_resultant,
     eta_gcd,
-    kpoly_from_etapoly,
     rational_roots,
     reduce_mod,
 )
@@ -555,62 +554,66 @@ def poly_xgcd(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
     return r0.monic(), u0 * scale, v0 * scale
 
 
-def xgcd_inverse(x: ExtElem) -> ExtElem:
-    """Inverse in Q[w]/(p) from the Bezout identity u*x + v*p = 1; raises
-    NotInvertibleError when x is zero or shares a factor with p."""
+def xgcd_inverse(x: UniPoly, p: UniPoly) -> UniPoly:
+    """Inverse of x in Q[w]/(p) from the Bezout identity u*x + v*p = 1,
+    reduced modulo p; raises NotInvertibleError when x is zero modulo p or
+    shares a factor with p."""
+    x = x % p
     if x.is_zero():
         raise NotInvertibleError("zero is not invertible")
-    g, u, _ = poly_xgcd(x.value, x.modulus)
+    g, u, _ = poly_xgcd(x, p)
     if g.degree() != 0:
-        raise NotInvertibleError(f"{x.value} shares factor {g} with modulus {x.modulus}")
-    return ExtElem(x.modulus, u % x.modulus)
+        raise NotInvertibleError(f"{x} shares factor {g} with modulus {p}")
+    return u % p
 
 
-def _euclid_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    inv_lead = xgcd_inverse(b[-1])
-    quot = [ExtElem(b[-1].modulus, UniPoly.zero())] * max(len(a) - len(b) + 1, 0)
+def _reduced(f: EtaPoly, p: UniPoly) -> list:
+    return _pl_trim([c % p for c in f.coeffs])
+
+
+def _euclid_divmod(a: EtaPoly, b: EtaPoly, p: UniPoly) -> tuple[EtaPoly, EtaPoly]:
+    """Quotient and remainder of a by b != 0 in K[eta], K = Q[w]/(p), by
+    long division in UniPoly arithmetic modulo p."""
+    a, b = _reduced(a, p), _reduced(b, p)
+    inv_lead = xgcd_inverse(b[-1], p)
+    quot = [UniPoly.zero()] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         if not a[-1].is_zero():
             shift = len(a) - len(b)
-            factor = a[-1] * inv_lead
+            factor = a[-1] * inv_lead % p
             quot[shift] = factor
             for i, c in enumerate(b):
-                a[shift + i] = a[shift + i] - factor * c
+                a[shift + i] = (a[shift + i] - factor * c) % p
         a.pop()
-    return _pl_trim(quot), _pl_trim(a)
+    return EtaPoly(quot), EtaPoly(a)
 
 
-def euclid_kpoly_gcd(a: list, b: list) -> list:
+def euclid_kpoly_gcd(a: EtaPoly, b: EtaPoly, p: UniPoly) -> EtaPoly:
     """Monic gcd over Q[w]/(p) by monic Euclid, inverting every divisor's lead."""
-    a, b = _pl_trim(list(a)), _pl_trim(list(b))
+    a, b = EtaPoly(_reduced(a, p)), EtaPoly(_reduced(b, p))
     while b:
-        a, b = b, _euclid_divmod(a, b)[1]
+        a, b = b, _euclid_divmod(a, b, p)[1]
     if a:
-        la = xgcd_inverse(a[-1])
-        a = [c * la for c in a]
+        la = xgcd_inverse(a.lead, p)
+        a = EtaPoly(c * la % p for c in a.coeffs)
     return a
 
 
 def euclid_singular_eta(f: EtaPoly, p: UniPoly):
     """``spectral._extension_singular_eta`` on the Euclid gcd and the Bezout
     inverse: the singular eta value over the residue field of p, or None."""
-    fk = kpoly_from_etapoly(f, p)
-    dk = kpoly_from_etapoly(f.derivative(), p)
-    wk = kpoly_from_etapoly(f.dw(), p)
-    g = euclid_kpoly_gcd(euclid_kpoly_gcd(fk, dk), wk)
-    if len(g) <= 1:
+    g = euclid_kpoly_gcd(euclid_kpoly_gcd(f, f.derivative(), p), f.dw(), p)
+    if g.degree() < 1:
         return None
-    if len(g) > 2:
-        deriv = _pl_trim([g[j] * j for j in range(1, len(g))])
-        h = euclid_kpoly_gcd(g, deriv)
-        if len(h) > 1:
-            g, rem = _euclid_divmod(g, h)
+    if g.degree() > 1:
+        h = euclid_kpoly_gcd(g, g.derivative(), p)
+        if h.degree() > 0:
+            g, rem = _euclid_divmod(g, h, p)
             if rem:
                 raise InternalCheckError("squarefree reduction left a remainder")
-    if len(g) != 2:
+    if g.degree() != 1:
         raise SingularityNotRepresentableError(f"several singular eta values over {p} = 0")
-    return -g[0] * xgcd_inverse(g[1])
+    return ExtElem(p, -g.coeffs[0] * xgcd_inverse(g.coeffs[1], p) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +676,7 @@ def triple_singularity_test(a, b, locus, chart: int = 0) -> TripleTestResult:
             return TripleTestResult("smooth")
         delta = a**3 * 4 + b**2 * 27
         if _at_least(_modulus_order(delta, locus), 2):
-            eta = reduce_mod(b * -3, locus) * reduce_mod(a * 2, locus).inv()
+            eta = reduce_mod(b * -3 * xgcd_inverse(a * 2, locus), locus)
             pt = SingularPoint(0, modulus=locus, eta=eta, certificate="lemma-case-b")
             return TripleTestResult("singular-case-b", pt)
         return TripleTestResult("smooth")

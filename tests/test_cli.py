@@ -619,9 +619,9 @@ def test_residue_field_gcd_never_inverts(monkeypatch):
         inversions.append(1)
         return original_inv(self)
 
-    def counted_gcd(a, b):
+    def counted_gcd(a, b, p):
         inversions.clear()
-        out = original_gcd(a, b)
+        out = original_gcd(a, b, p)
         per_gcd.append(len(inversions))
         return out
 
@@ -646,7 +646,8 @@ def test_full_support_singular_job_within_budget():
 
 
 def test_benchmark_traced_functions_exist():
-    # perfbench/layers.py wraps these by name; a rename would crash --trace 1
+    # perfbench/layers.py wraps these by name, and ExtElem.inv on the class;
+    # a rename would crash --trace 1
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
@@ -654,6 +655,8 @@ def test_benchmark_traced_functions_exist():
     assert len(layers.TRACED) == 22
     for name, (module, attr) in layers.TRACED.items():
         assert callable(getattr(importlib.import_module(f"speccover.{module}"), attr, None)), name
+    assert layers.INV == "exactalg.ExtElem.inv"
+    assert callable(getattr(importlib.import_module("speccover.exactalg").ExtElem, "inv", None))
 
 
 def test_third_party_imports_match_declared_dependencies():

@@ -1092,18 +1092,14 @@ def test_integer_power_check_matches_fraction_power():
 def test_ext_examples():
     i_mod = up(1, 0, 1)  # w^2 + 1
     w = reduce_mod(UniPoly.x(), i_mod)
-    assert (w * w).value == UniPoly.const(-1)
+    assert reduce_mod(UniPoly.x() ** 2, i_mod).value == UniPoly.const(-1)
     assert w.inv().value == -UniPoly.x()
     lin = up(-2, 1)  # w - 2
-    w2 = reduce_mod(UniPoly.x(), lin)
-    assert (w2 * w2 * w2).value == UniPoly.const(8)
-
-
-def test_ext_modulus_mismatch():
-    x = reduce_mod(up(0, 1), up(1, 0, 1))
-    y = reduce_mod(up(0, 1), up(2, 0, 1))
+    assert reduce_mod(UniPoly.x() ** 3, lin).value == UniPoly.const(8)
+    # the modulus is made monic, and a constant one is refused
+    assert reduce_mod(UniPoly.x() ** 3, i_mod * 3) == ExtElem(i_mod, -UniPoly.x())
     with pytest.raises(ModulusError):
-        _ = x + y
+        reduce_mod(UniPoly.x(), up(2))
 
 
 def test_ext_inverse_random_field():
@@ -1115,7 +1111,7 @@ def test_ext_inverse_random_field():
         if v.is_zero():
             continue
         x = reduce_mod(v, mod)
-        assert (x * x.inv()).value == one
+        assert (x.value * x.inv().value) % mod == one
 
 
 def test_ext_non_invertible():
@@ -1147,8 +1143,8 @@ def test_ext_inverse_matches_bezout_oracle():
                 if x.is_zero():
                     continue
                 got = x.inv()
-                assert got == xgcd_inverse(x)
-                assert (x * got).value == UniPoly.one()
+                assert got == ExtElem(mod, xgcd_inverse(x.value, mod))
+                assert (x.value * got.value) % mod == UniPoly.one()
                 checked += 1
     assert checked >= 80
 
@@ -1162,33 +1158,26 @@ def test_ext_zero_divisors_of_a_reducible_modulus():
         for _ in range(4):
             x = reduce_mod(factor * rand_unipoly(rng, 1, nonzero=True), mod)
             with pytest.raises(NotInvertibleError):
-                xgcd_inverse(x)
+                xgcd_inverse(x.value, mod)
             with pytest.raises(NotInvertibleError):
                 x.inv()
     unit = reduce_mod(a + b, mod)  # gcd(a + b, a b) = 1
-    assert unit.inv() == xgcd_inverse(unit)
+    assert unit.inv().value == xgcd_inverse(unit.value, mod)
 
 
-def _kpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [reduce_mod(UniPoly.zero(), a[0].modulus)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return exactalg._pl_trim(out)
+def _kpoly_mul(a, b, mod):
+    """a b in K[eta], K = Q[w]/(mod), its coefficients reduced."""
+    return EtaPoly(c % mod for c in (a * b).coeffs)
 
 
 def test_kpoly_gcd():
     mod = up(1, 0, 1)
     # over K = Q[w]/(w^2+1): gcd of (eta - w)(eta + 1) and (eta - w) is eta - w
-    w = reduce_mod(UniPoly.x(), mod)
-    one = reduce_mod(UniPoly.one(), mod)
-    a = exactalg._pl_trim([-w, one])  # eta - w
-    b = [-w, one - w, one]  # (eta - w)(eta + 1) = eta^2 + (1-w)eta - w
-    g = exactalg.kpoly_gcd(b, a)
-    assert len(g) == 2 and g[1].value == UniPoly.one()
-    assert g[0].value == -UniPoly.x()
+    w = UniPoly.x()
+    a = ep(-w, 1)  # eta - w
+    b = ep(-w, 1 - w, 1)  # (eta - w)(eta + 1) = eta^2 + (1-w)eta - w
+    g = exactalg.kpoly_gcd(b, a, mod)
+    assert g == a
 
 
 def test_kpoly_gcd_matches_euclid_oracle():
@@ -1203,25 +1192,25 @@ def test_kpoly_gcd_matches_euclid_oracle():
                 break
 
         def kpoly(n):
-            return exactalg._pl_trim([_rand_elem(rng, mod) for _ in range(n)])
+            return EtaPoly([_rand_elem(rng, mod).value for _ in range(n)])
 
         for _ in range(3):
             c, u, v = kpoly(rng.randint(2, 3)), kpoly(rng.randint(1, 3)), kpoly(rng.randint(1, 3))
             if not c or not u or not v:
                 continue
             # the cofactors are coprime for most draws
-            assert exactalg.kpoly_gcd(u, v) == euclid_kpoly_gcd(u, v)
-            a, b = _kpoly_mul(c, u), _kpoly_mul(c, v)
-            got = exactalg.kpoly_gcd(a, b)
-            assert got == euclid_kpoly_gcd(a, b)
-            assert got == exactalg.kpoly_gcd(b, a)
-            assert got[-1].value == UniPoly.one()
-            assert _euclid_divmod(got, c)[1] == []
-            assert _euclid_divmod(a, got)[1] == [] and _euclid_divmod(b, got)[1] == []
+            assert exactalg.kpoly_gcd(u, v, mod) == euclid_kpoly_gcd(u, v, mod)
+            a, b = _kpoly_mul(c, u, mod), _kpoly_mul(c, v, mod)
+            got = exactalg.kpoly_gcd(a, b, mod)
+            assert got == euclid_kpoly_gcd(a, b, mod)
+            assert got == exactalg.kpoly_gcd(b, a, mod)
+            assert got.lead == UniPoly.one()
+            assert not _euclid_divmod(got, c, mod)[1]
+            assert not _euclid_divmod(a, got, mod)[1] and not _euclid_divmod(b, got, mod)[1]
         # a zero or constant second argument
         a = kpoly(3)
-        assert exactalg.kpoly_gcd(a, []) == euclid_kpoly_gcd(a, [])
-        assert exactalg.kpoly_gcd(a, a[:1]) == euclid_kpoly_gcd(a, a[:1])
+        for b in (EtaPoly.zero(), EtaPoly(a.coeffs[:1])):
+            assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod)
 
 
 def _recorded_images(monkeypatch):
@@ -1241,8 +1230,8 @@ def _recorded_images(monkeypatch):
 
 def _kpoly(mod, *coeffs):
     """An eta-polynomial over Q[w]/(mod), coefficients ascending, each a
-    UniPoly or a rational."""
-    return [reduce_mod(c if isinstance(c, UniPoly) else UniPoly.const(c), mod) for c in coeffs]
+    UniPoly or a rational, reduced modulo mod."""
+    return EtaPoly(c % mod for c in EtaPoly(coeffs).coeffs)
 
 
 def _nth_prime(i):
@@ -1278,10 +1267,10 @@ def test_kpoly_gcd_skips_a_prime_where_the_modulus_is_not_squarefree(monkeypatch
     mod = up(-_Q0, 0, 1)  # w^2 - q0 = w^2 mod q0
     w = UniPoly.x()
     c = _kpoly(mod, -w, 1)
-    a, b = _kpoly_mul(c, _kpoly(mod, 1, 1)), _kpoly_mul(c, _kpoly(mod, w + 2, 3))
+    a, b = _kpoly_mul(c, _kpoly(mod, 1, 1), mod), _kpoly_mul(c, _kpoly(mod, w + 2, 3), mod)
     seen = _recorded_images(monkeypatch)
-    got = exactalg.kpoly_gcd(a, b)
-    assert got == euclid_kpoly_gcd(a, b) == c
+    got = exactalg.kpoly_gcd(a, b, mod)
+    assert got == euclid_kpoly_gcd(a, b, mod) == c
     assert seen[0] == (_Q0, None)
 
 
@@ -1289,11 +1278,11 @@ def test_kpoly_gcd_skips_a_prime_dividing_a_leading_coefficient(monkeypatch):
     mod = up(-2, 0, 1)
     w = UniPoly.x()
     c = _kpoly(mod, -w, 1)
-    a, b = _kpoly_mul(c, _kpoly(mod, 1, w, _Q0)), _kpoly_mul(c, _kpoly(mod, 3, 1))
+    a, b = _kpoly_mul(c, _kpoly(mod, 1, w, _Q0), mod), _kpoly_mul(c, _kpoly(mod, 3, 1), mod)
     seen = _recorded_images(monkeypatch)
-    got = exactalg.kpoly_gcd(a, b)
-    assert a[-1].value == UniPoly.const(_Q0)
-    assert got == euclid_kpoly_gcd(a, b) == c
+    got = exactalg.kpoly_gcd(a, b, mod)
+    assert a.lead == UniPoly.const(_Q0)
+    assert got == euclid_kpoly_gcd(a, b, mod) == c
     assert seen[0] == (_Q0, None)
 
 
@@ -1302,23 +1291,23 @@ def test_kpoly_gcd_drops_the_image_of_an_unlucky_prime(monkeypatch):
     eta, shifted = _kpoly(mod, 0, 1), _kpoly(mod, -_Q0, 1)
     seen = _recorded_images(monkeypatch)
     # eta and eta - q0 are coprime over K, but equal mod q0
-    assert exactalg.kpoly_gcd(eta, shifted) == euclid_kpoly_gcd(eta, shifted) == _kpoly(mod, 1)
+    assert exactalg.kpoly_gcd(eta, shifted, mod) == euclid_kpoly_gcd(eta, shifted, mod) == _kpoly(mod, 1)
     assert [d for _, d in seen] == [1, 0]
     seen.clear()
     c = _kpoly(mod, -1, 1)
-    a, b = _kpoly_mul(c, eta), _kpoly_mul(c, shifted)
-    assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b) == c
+    a, b = _kpoly_mul(c, eta, mod), _kpoly_mul(c, shifted, mod)
+    assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod) == c
     assert seen[0] == (_Q0, 2) and seen[1][1] == 1
     # with eta - q0 q1, two unlucky images agree on eta^2 - eta, and only
     # the exact division refutes it
     seen.clear()
-    b = _kpoly_mul(c, _kpoly(mod, -_Q0 * _nth_prime(1), 1))
-    assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b) == c
+    b = _kpoly_mul(c, _kpoly(mod, -_Q0 * _nth_prime(1), 1), mod)
+    assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod) == c
     assert [d for _, d in seen] == [2, 2, 1, 1]
     # an unlucky image after a lucky one is dropped, not combined
     seen.clear()
-    b = _kpoly_mul(c, _kpoly(mod, -_nth_prime(1), 1))
-    assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b) == c
+    b = _kpoly_mul(c, _kpoly(mod, -_nth_prime(1), 1), mod)
+    assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod) == c
     assert [d for _, d in seen] == [1, 2, 1]
 
 
@@ -1327,9 +1316,9 @@ def test_kpoly_gcd_skips_a_prime_in_a_denominator(monkeypatch):
     # q0 in a denominator of the modulus w^2 + 1/q0, then of an input
     for mod, lead in ((UniPoly([F(1, _Q0), 0, 1]), 1), (up(2, 0, 1), F(1, _Q0))):
         c = _kpoly(mod, w, 1)
-        a, b = _kpoly_mul(c, _kpoly(mod, 1, lead)), _kpoly_mul(c, _kpoly(mod, w, 5))
+        a, b = _kpoly_mul(c, _kpoly(mod, 1, lead), mod), _kpoly_mul(c, _kpoly(mod, w, 5), mod)
         seen = _recorded_images(monkeypatch)
-        assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b) == c
+        assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod) == c
         assert seen[0][0] != _Q0
 
 
@@ -1342,14 +1331,14 @@ def test_kpoly_gcd_recovers_large_coefficients_from_several_primes(monkeypatch):
         return UniPoly([F(rng.getrandbits(300) - 2**299, rng.getrandbits(300) | 1) for _ in range(3)])
 
     c = _kpoly(mod, big(), big(), 1)
-    a = _kpoly_mul(c, _kpoly(mod, UniPoly([1, 2]), 1))
-    b = _kpoly_mul(c, _kpoly(mod, -3, UniPoly([0, 1]), 1))
+    a = _kpoly_mul(c, _kpoly(mod, UniPoly([1, 2]), 1), mod)
+    b = _kpoly_mul(c, _kpoly(mod, -3, UniPoly([0, 1]), 1), mod)
     seen = _recorded_images(monkeypatch)
-    got = exactalg.kpoly_gcd(a, b)
-    assert got == euclid_kpoly_gcd(a, b) == c
+    got = exactalg.kpoly_gcd(a, b, mod)
+    assert got == euclid_kpoly_gcd(a, b, mod) == c
     # a 300-bit numerator over a 300-bit denominator is recovered modulo
     # M > 2^601 only, a product of at least ten primes below 2^62
-    assert max(x.numerator.bit_length() for e in c for x in e.value.coeffs) >= 290
+    assert max(x.numerator.bit_length() for e in c.coeffs for x in e.coeffs) >= 290
     assert len(seen) >= 10
 
 
@@ -1358,11 +1347,11 @@ def test_kpoly_gcd_bounds_candidates_that_fail_to_divide(monkeypatch):
     # raise after a bounded run of agreeing candidates, not loop
     mod = up(1, 0, 1)
     c = _kpoly(mod, -1, 1)
-    a, b = _kpoly_mul(c, _kpoly(mod, UniPoly.x(), 1)), _kpoly_mul(c, _kpoly(mod, 3, 1))
+    a, b = _kpoly_mul(c, _kpoly(mod, UniPoly.x(), 1), mod), _kpoly_mul(c, _kpoly(mod, 3, 1), mod)
     monkeypatch.setattr(exactalg, "_divides_in_field", lambda g, f, pm: False)
     seen = _recorded_images(monkeypatch)
     with pytest.raises(InternalCheckError, match="failed to divide"):
-        exactalg.kpoly_gcd(a, b)
+        exactalg.kpoly_gcd(a, b, mod)
     assert len(seen) == exactalg._FAILED_CERTIFICATES + 1
 
 
@@ -1370,21 +1359,54 @@ def test_kpoly_gcd_with_a_zero_or_constant_argument():
     mod = up(-3, 1, 0, 1)
     w = UniPoly.x()
     a = _kpoly(mod, w, F(2, 3), w * w + 1)
-    for b in ([], _kpoly(mod, w + 5)):
-        assert exactalg.kpoly_gcd(a, b) == euclid_kpoly_gcd(a, b)
-        assert exactalg.kpoly_gcd(b, a) == euclid_kpoly_gcd(b, a)
-    assert exactalg.kpoly_gcd(a, [])[-1].value == UniPoly.one()
-    assert exactalg.kpoly_gcd(a, _kpoly(mod, 7)) == _kpoly(mod, 1)
-    assert exactalg.kpoly_gcd([], []) == []
+    for b in (EtaPoly.zero(), _kpoly(mod, w + 5)):
+        assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod)
+        assert exactalg.kpoly_gcd(b, a, mod) == euclid_kpoly_gcd(b, a, mod)
+    assert exactalg.kpoly_gcd(a, EtaPoly.zero(), mod).lead == UniPoly.one()
+    assert exactalg.kpoly_gcd(a, _kpoly(mod, 7), mod) == EtaPoly.one()
+    assert exactalg.kpoly_gcd(EtaPoly.zero(), EtaPoly.zero(), mod) == EtaPoly.zero()
 
 
 def test_kpoly_gcd_refuses_a_reducible_modulus():
     mod = up(0, -1, 1)  # w^2 - w: w is a zero divisor at every prime
     a, b = _kpoly(mod, 1, UniPoly.x()), _kpoly(mod, 1, 1)
     with pytest.raises(InternalCheckError):
-        exactalg.kpoly_gcd(a, b)
+        exactalg.kpoly_gcd(a, b, mod)
+
+
+def test_kpoly_gcd_reduces_its_inputs():
+    # inputs with coefficients of w-degree deg p or more give the oracle's
+    # gcd of the reduced inputs, itself reduced modulo p
+    rng = rng_for("kpoly-gcd-unreduced")
+    for k in (2, 3, 5):
+        while True:
+            mod = _rand_monic(rng, k, rational=k != 3)
+            _, factors = factor_rational(mod)
+            if len(factors) == 1 and factors[0][1] == 1:
+                break
+
+        def wide(n):  # eta-degree n, coefficients of w-degree up to 3k - 1
+            return ep(*(rand_unipoly(rng, 3 * k - 1) for _ in range(n)), rand_unipoly(rng, 3 * k - 1, nonzero=True))
+
+        for _ in range(3):
+            c, u, v = wide(1), wide(rng.randint(1, 2)), wide(rng.randint(1, 2))
+            if (c.lead % mod).is_zero():
+                continue
+            a, b = c * u, c * v
+            assert max(x.degree() for x in a.coeffs) >= k
+            got = exactalg.kpoly_gcd(a, b, mod)
+            assert got == euclid_kpoly_gcd(a, b, mod)
+            assert got == exactalg.kpoly_gcd(_kpoly(mod, *a.coeffs), _kpoly(mod, *b.coeffs), mod)
+            assert all(x.degree() < k for x in got.coeffs) and got.degree() >= 1
+
+
+def test_kpoly_gcd_refuses_a_non_monic_or_constant_modulus():
+    a, b = ep(1, up(0, 1)), ep(1, 1)
+    for mod in (up(2, 0, 2), up(1, 0, F(1, 3)), up(1), up(-1), up()):
+        with pytest.raises(ModulusError):
+            exactalg.kpoly_gcd(a, b, mod)
     with pytest.raises(ModulusError):
-        exactalg.kpoly_gcd(a, _kpoly(up(1, 0, 1), 1, 1))
+        exactalg.kpoly_gcd(EtaPoly.zero(), EtaPoly.zero(), up(5))
 
 
 _W, _ETA = sympy.symbols("w eta")
@@ -1502,18 +1524,16 @@ def test_vanishes_at_matches_horner_in_the_residue_field():
                         + [rand_unipoly(rng, 3, nonzero=True)])
             if trial % 2 == 0:
                 f = f * EtaPoly((-x.value, UniPoly.one()))
-            acc = reduce_mod(UniPoly.zero(), mod)
+            acc = UniPoly.zero()
             for c in reversed(f.coeffs):
-                acc = acc * x + reduce_mod(c, mod)
+                acc = (acc * x.value + c) % mod
             assert exactalg.vanishes_at(f, x) == acc.is_zero()
             hits += acc.is_zero()
     assert hits >= 18
 
 
 def test_zero_is_falsy_in_every_coefficient_ring():
-    mod = up(1, 0, 1)
-    for x in (up(), up(0, 1), ep(), ep(0, 1), EtaPoly.const(up(0, 1)),
-              reduce_mod(up(), mod), reduce_mod(up(2, 1), mod), reduce_mod(mod, mod)):
+    for x in (up(), up(0, 1), ep(), ep(0, 1), EtaPoly.const(up(0, 1))):
         assert bool(x) == (not x.is_zero())
     assert not up() and up(3) and not ep() and ep(0, 1)
     assert exactalg._pl_trim([up(1), up(0, 1), up()]) == [up(1), up(0, 1)]

@@ -49,7 +49,6 @@ from speccover.spectral import (
     arithmetic_genus,
     cubic_delta,
     depressed_cubic_parts,
-    discriminant_eta,
     double_cover_singularities,
     eta_discriminant,
     invariant_sections,
@@ -278,14 +277,14 @@ def test_discriminant_conic_unit():
     # Res(eta^2 + c, 2 eta) = 4c, so the conic discriminant is -4st f^2
     f = bf(1, [1, 2])
     curve = spectral_curve(section(2, 2, {1: f}))
-    assert discriminant_eta(curve) == S * T * f * f * -4
+    assert eta_discriminant(curve.annihilating) == S * T * f * f * -4
 
 
 def test_discriminant_triple_matches_printed_form():
     f = bf(1, [2, 1])
     g = bf(1, [1, -1])
     curve = spectral_curve(section(3, 2, {1: f, 2: g}))
-    delta = discriminant_eta(curve)
+    delta = eta_discriminant(curve.annihilating)
     assert delta == (S * T) ** 2 * (T * f**3 - S * g**3) ** 2 * 27
 
 
