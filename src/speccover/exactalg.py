@@ -43,7 +43,8 @@ from math import factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_zz_factor_sqf
 
 from .errors import (
     DegreeError,
@@ -383,14 +384,16 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def _int_gcd(fa: list, fb: list) -> list:
-    """A gcd over Q of two nonzero integer coefficient lists, as an integer
-    list, by a primitive pseudo-remainder sequence; [1] when coprime."""
+    """A gcd over Q of two nonzero integer coefficient lists, by a primitive
+    pseudo-remainder sequence: primitive with a positive lead, so it divides
+    a primitive input over Z (Gauss's lemma); [1] when coprime."""
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while len(fb) > 1:
         rem = _pl_pseudo_rem(fa, fb)
         if not rem:
-            return fb
+            fb = _int_primitive(fb)
+            return fb if fb[-1] > 0 else [-c for c in fb]
         fa, fb = fb, _int_primitive(rem)
     return [1]
 
@@ -400,42 +403,85 @@ def _sqfree_degree(f: list) -> int:
     return len(f) - len(_int_gcd(f, [i * c for i, c in enumerate(f)][1:]))
 
 
-_SYMPY_W = sympy.Symbol("w")
+def _int_exact_quo(f: list, g: list) -> list:
+    """f / g for integer lists f and g != [], raising InternalCheckError
+    unless g divides f in Z[w]."""
+    lc, n = g[-1], len(g) - 1
+    rem, quo = list(f), [0] * (len(f) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + n], lc)
+        if r:
+            raise InternalCheckError("inexact integer division in a squarefree split")
+        quo[k] = c
+        if c:
+            for j in range(n):
+                rem[k + j] -= c * g[j]
+    if any(rem[:n]) or not quo:
+        raise InternalCheckError("inexact integer division in a squarefree split")
+    return quo
+
+
+def _sqfree_parts(f: list) -> list:
+    """Musser's squarefree split of a primitive integer list f of positive
+    lead and degree >= 1: [s_1, s_2, ...], primitive with positive leads,
+    squarefree and pairwise coprime, with f = prod s_i^i; a part may be [1].
+
+    With c = gcd(f, f') and w = f / c, w is the product of the distinct
+    irreducible factors; each round y = gcd(w, c) keeps those of higher
+    multiplicity, s_i = w / y, w = y and c = c / y.  Every quotient is an
+    exact division over Z, and c must end as [1].
+    """
+    if len(f) == 2:
+        return [f]
+    c = _int_gcd(f, [i * x for i, x in enumerate(f)][1:])
+    w = _int_exact_quo(f, c)
+    parts = []
+    while len(w) > 1:
+        y = _int_gcd(w, c)
+        parts.append(_int_exact_quo(w, y))
+        w, c = y, _int_exact_quo(c, y)
+    if c != [1]:
+        raise InternalCheckError("squarefree split left a cofactor")
+    return parts
 
 
 def factor_rational(f: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     """Irreducible factorization over Q (monic factors, canonical order).
 
-    Backed by sympy for the factor search; the result is verified here by
-    exact reconstruction and pairwise-coprimality before being returned.
+    The primitive integer multiple of f is split into squarefree parts by
+    ``_sqfree_parts``; sympy's ``dup_zz_factor_sqf`` factors each part of
+    degree >= 2, and a factor's multiplicity is its part's index.  The
+    result is verified here by exact reconstruction and pairwise
+    coprimality before being returned.
     """
     if f.is_zero():
         raise DegreeError("factorization of the zero polynomial")
     if f.degree() == 0:
         return f.lead, []
-    expr = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
-        _SYMPY_W,
-        domain="QQ",
-    )
-    s_unit, pairs = expr.factor_list()
-    s_unit = sympy.Rational(s_unit)
-    unit = Fraction(int(s_unit.p), int(s_unit.q))
     # f = unit prod p_i^m_i, with p_i = P_i / c_i for P_i in Z[w] of lead
     # c_i, is checked over Z as unit_num den_f prod P_i^m_i ==
     # unit_den prod c_i^m_i F, where F = den_f f
     (big_f,), den_f = _int_coeff_lists([f])
+    prim = _int_primitive(big_f)
+    if prim[-1] < 0:
+        prim = [-c for c in prim]
+    unit = Fraction(big_f[-1] // prim[-1], den_f)
     lhs, leads = _ZPoly((den_f,)), 1
     factors: list[tuple[UniPoly, int]] = []
-    for poly, mult in pairs:
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-        den = lcm(*(c.denominator for c in coeffs))
-        big = [c.numerator * (den // c.denominator) for c in coeffs]
-        mult = int(mult)
-        unit *= Fraction(big[-1], den) ** mult
-        factors.append((UniPoly(Fraction(c, big[-1]) for c in big), mult))
-        lhs = lhs * _ZPoly(big) ** mult
-        leads *= big[-1] ** mult
+    for mult, part in enumerate(_sqfree_parts(prim), 1):
+        if len(part) == 1:
+            continue
+        if len(part) == 2:
+            cont, found = 1, [part]
+        else:
+            cont, found = dup_zz_factor_sqf([ZZ(c) for c in reversed(part)], ZZ)
+            found = [[int(c) for c in reversed(h)] for h in found]
+        unit *= int(cont) ** mult
+        for big in found:
+            unit *= big[-1] ** mult
+            factors.append((UniPoly(Fraction(c, big[-1]) for c in big), mult))
+            lhs = lhs * _ZPoly(big) ** mult
+            leads *= big[-1] ** mult
     if [unit.numerator * c for c in lhs.coeffs] != [unit.denominator * leads * c for c in big_f]:
         raise InternalCheckError("irreducible factorization failed to reconstruct input")
     factors.sort(key=lambda pm: (pm[0].degree(), pm[0].coeffs))
@@ -1521,10 +1567,11 @@ def kpoly_gcd(a: EtaPoly, b: EtaPoly, p: UniPoly) -> EtaPoly:
     (F_q[w]/(p mod q))[eta] meets a leading coefficient that is not a unit,
     lc(a) first; otherwise it gives a monic image g_q.  Only the images of
     the least degree seen are kept.  They are combined by CRT, and each
-    rational w-coefficient is recovered by rational reconstruction.  Once
-    the reconstruction g agrees with the image of the next prime, g is
-    returned if it divides a and b exactly, which ``_divides_in_field``
-    decides over Z.
+    rational w-coefficient is recovered by rational reconstruction.  The
+    gcd is certified at the first reconstruction: g is returned as soon as
+    it divides a and b exactly, which ``_divides_in_field`` decides over Z.
+    A g that fails is refuted; the next prime's image is combined in, and
+    the next reconstruction is tried unless it is the refuted g again.
 
     Why that g is G.  Let q be an accepted prime.  p is monic over Z_(q)
     and p mod q is squarefree, so by Dedekind's criterion O = Z_(q)[w]/(p)
@@ -1542,10 +1589,11 @@ def kpoly_gcd(a: EtaPoly, b: EtaPoly, p: UniPoly) -> EtaPoly:
 
     Only finitely many primes are refused or give too large a degree while
     p is irreducible; a run of ``_REFUSED_PRIMES`` refusals is taken for a
-    broken premise and raises InternalCheckError.  So does a run of
-    ``_FAILED_CERTIFICATES`` candidates at one degree that agree with the
-    next image but fail the division, which only finitely many unlucky
-    primes can cause.
+    broken premise and raises InternalCheckError.  So does a refuted
+    candidate that ``_FAILED_CERTIFICATES`` more images at its degree
+    reconstruct again, which only finitely many unlucky primes can cause.
+    A reconstruction from too small a modulus is only wrong while the
+    modulus grows, and each one costs one division.
     """
     if p.degree() < 1 or p.lead != 1:
         raise ModulusError(f"residue-field modulus {p} is not monic of degree >= 1")
@@ -1556,7 +1604,7 @@ def kpoly_gcd(a: EtaPoly, b: EtaPoly, p: UniPoly) -> EtaPoly:
         return EtaPoly.zero()
     k, pm = p.degree(), _to_int_poly(p)
     (ai, aden), (bi, bden) = (_int_coeff_lists(f) for f in (a, b))
-    best = cand = None
+    best = None
     refused = 0
     for q in _gcd_primes():
         # q divides a denominator of the monic p exactly when it divides lc(pm)
@@ -1571,27 +1619,30 @@ def kpoly_gcd(a: EtaPoly, b: EtaPoly, p: UniPoly) -> EtaPoly:
             return EtaPoly.one()
         image = [x for c in g[:-1] for x in c + [0] * (k - len(c))]
         if best is None or n < best:
-            best, images, modulo, failed = n, image, q, 0
+            best, images, modulo, failed, refuted = n, image, q, 0, None
             for f, fi, other in ((b, bi, ai), (a, ai, bi)):
                 if len(f) == n + 1 and f[-1] == 1 and _divides_in_field(fi, other, pm):
                     return EtaPoly(f)
         elif n > best:
             continue
         else:
-            if cand is not None and all(
-                x.denominator % q and x.numerator * pow(x.denominator, -1, q) % q == y for x, y in zip(cand, image)
-            ):
-                den = lcm(*(x.denominator for x in cand))
-                gi = [[int(x * den) for x in cand[i : i + k]] for i in range(0, n * k, k)] + [[den]]
-                if _divides_in_field(gi, ai, pm) and _divides_in_field(gi, bi, pm):
-                    return EtaPoly([UniPoly(cand[i : i + k]) for i in range(0, n * k, k)] + [1])
-                failed += 1
-                if failed == _FAILED_CERTIFICATES:
-                    raise InternalCheckError(f"{failed} agreeing candidates failed to divide over {p}")
             inv = pow(modulo, -1, q)
             images = [x + modulo * ((y - x) * inv % q) for x, y in zip(images, image)]
             modulo *= q
         cand = _rational_reconstruction(images, modulo)
+        if cand is None:
+            continue
+        if cand == refuted:
+            # the refuted candidate agrees with one more image
+            failed += 1
+            if failed == _FAILED_CERTIFICATES:
+                raise InternalCheckError(f"{failed} agreeing candidates failed to divide over {p}")
+            continue
+        den = lcm(*(x.denominator for x in cand))
+        gi = [[int(x * den) for x in cand[i : i + k]] for i in range(0, n * k, k)] + [[den]]
+        if _divides_in_field(gi, ai, pm) and _divides_in_field(gi, bi, pm):
+            return EtaPoly([UniPoly(cand[i : i + k]) for i in range(0, n * k, k)] + [1])
+        refuted = cand
 
 
 def vanishes_at(f: EtaPoly, x: ExtElem) -> bool:

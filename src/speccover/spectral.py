@@ -28,6 +28,8 @@ from .exactalg import (
     ExtElem,
     ProjPoint,
     UniPoly,
+    _sqfree_degree,
+    _to_int_poly,
     annihilates_unit,
     char_poly_matrix,
     factor_rational,
@@ -412,9 +414,18 @@ def _extension_singular_eta(f: EtaPoly, f_eta: EtaPoly, f_w: EtaPoly, p: UniPoly
     be represented: g = (eta - eta0)^k, the case deg gcd(g, g') = k - 1,
     where eta0 = -g_(k-1) / k.  Split singular fibers over one conjugacy
     class raise instead of guessing.  f, f_eta and f_w are checked to vanish
-    at eta0 in K.
+    at eta0 in K.  When gcd(f, f_eta) is already eta - eta0, g is that or 1
+    as f_w(eta0) = 0 or not, so ``vanishes_at`` replaces the second gcd.
     """
-    g = kpoly_gcd(kpoly_gcd(f, f_eta, p), f_w, p)
+    g = kpoly_gcd(f, f_eta, p)
+    if g.degree() == 1:
+        eta0 = ExtElem(p, -g.coeffs[0])
+        if not vanishes_at(f_w, eta0):
+            return None
+        if not (vanishes_at(f, eta0) and vanishes_at(f_eta, eta0)):
+            raise InternalCheckError("singular eta value is not a root of f, f_eta and f_w")
+        return eta0
+    g = kpoly_gcd(g, f_w, p)
     k = g.degree()
     if k < 1:
         return None
@@ -490,7 +501,7 @@ def double_cover_singularities(f: BinForm, g: BinForm, branch: BinForm) -> list:
     b0 = branch.dehomogenize(0)
     if branch.degree > 0 and vanishing_order(branch, ProjPoint.of(1, 0)) > 1:
         raise ShapeError("branch form must be squarefree")
-    if b0.degree() > 0 and any(m > 1 for _, m in factor_rational(b0)[1]):
+    if b0.degree() > 0 and _sqfree_degree(_to_int_poly(b0)) != b0.degree():
         raise ShapeError("branch form must be squarefree")
 
     predicted = []

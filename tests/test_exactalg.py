@@ -192,16 +192,126 @@ def test_factor_rational_refuses_a_factorization_that_does_not_reconstruct(monke
     f = up(F(1, 2), F(-3, 4)) ** 2 * up(F(2, 3), 0, 3)
     unit, factors = factor_rational(f)
     assert unit == F(27, 16) and factors == [(up(F(-2, 3), 1), 2), (up(F(2, 9), 0, 1), 1)]
-    original = sympy.Poly.factor_list
+    # sympy factors the squarefree part 9 w^2 + 2 of degree 2; the
+    # tweaks change its content, list its factor twice (doubling the
+    # multiplicity), or shift the factor's constant term
+    original = exactalg.dup_zz_factor_sqf
     tweaks = [
-        lambda unit, pairs: (unit * 2, pairs),
-        lambda unit, pairs: (unit, [(p, m + 1) for p, m in pairs]),
-        lambda unit, pairs: (unit, [(p + 1, m) for p, m in pairs]),
+        lambda cont, facs: (cont * 2, facs),
+        lambda cont, facs: (cont, facs + facs),
+        lambda cont, facs: (cont, [h[:-1] + [h[-1] + 1] for h in facs]),
     ]
     for tweak in tweaks:
-        monkeypatch.setattr(sympy.Poly, "factor_list", lambda self, tweak=tweak: tweak(*original(self)))
+        monkeypatch.setattr(exactalg, "dup_zz_factor_sqf", lambda g, K, tweak=tweak: tweak(*original(g, K)))
         with pytest.raises(InternalCheckError, match="reconstruct"):
             factor_rational(f)
+
+
+def _sympy_factor_rational(f: UniPoly):
+    """factor_rational by sympy's Poly.factor_list over QQ, factors made
+    monic and sorted as factor_rational sorts them."""
+    w = sympy.Symbol("w")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], w, domain="QQ")
+    unit, pairs = poly.factor_list()
+    unit = F(int(sympy.Rational(unit).p), int(sympy.Rational(unit).q))
+    factors = []
+    for h, m in pairs:
+        cs = [F(int(c.p), int(c.q)) for c in reversed(h.all_coeffs())]
+        unit *= cs[-1] ** int(m)
+        factors.append((UniPoly(c / cs[-1] for c in cs), int(m)))
+    factors.sort(key=lambda pm: (pm[0].degree(), pm[0].coeffs))
+    return unit, factors
+
+
+def test_factor_rational_matches_sympy_factor_list():
+    # seeded products of distinct irreducibles of degree 1-4 with
+    # multiplicities 1-4, times a rational content of either sign; then
+    # x^4 - 10 x^2 + 1, irreducible but split modulo every prime, squared
+    # and times (w - 1)^3
+    rng = rng_for("factor-sqf")
+    w = sympy.Symbol("w")
+    irreducibles = []
+    while len(irreducibles) < 12:
+        p = rand_unipoly(rng, 4, lo=-5, hi=5)
+        if p.degree() >= 1 and p not in irreducibles and sympy.Poly(list(reversed(p.coeffs)), w).is_irreducible:
+            irreducibles.append(p)
+    cases = []
+    for _ in range(30):
+        f = UniPoly.const(F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30)))
+        for p in rng.sample(irreducibles, rng.randint(1, 4)):
+            f = f * p ** rng.randint(1, 4)
+        cases.append(f)
+    swinnerton_dyer = up(1, 0, -10, 0, 1)
+    cases += [swinnerton_dyer**2, swinnerton_dyer * up(-1, 1) ** 3, -swinnerton_dyer * F(3, 7)]
+    for f in cases:
+        assert factor_rational(f) == _sympy_factor_rational(f), f
+
+
+def test_factor_rational_degree_one_skips_sympy(monkeypatch):
+    def refuse(g, K):
+        raise AssertionError("sympy asked to factor a linear part")
+
+    monkeypatch.setattr(exactalg, "dup_zz_factor_sqf", refuse)
+    assert factor_rational(up(F(3, 4), F(-2, 5))) == (F(-2, 5), [(up(F(-15, 8), 1), 1)])
+    assert factor_rational(up(-1, 2) ** 3 * up(F(1, 3), 1)) == (8, [(up(F(-1, 2), 1), 3), (up(F(1, 3), 1), 1)])
+    # the reconstruction check still runs on a linear input
+    monkeypatch.setattr(exactalg, "_sqfree_parts", lambda f: [[c + 1 for c in f]])
+    with pytest.raises(InternalCheckError, match="reconstruct"):
+        factor_rational(up(3, 2))
+
+
+def test_sqfree_parts_matches_sympy_sqf_list():
+    rng = rng_for("sqf-parts")
+    w = sympy.Symbol("w")
+    for _ in range(40):
+        f = UniPoly.one()
+        for _ in range(rng.randint(1, 4)):
+            f = f * rand_unipoly(rng, 3, nonzero=True) ** rng.randint(1, 4)
+        if f.degree() < 1:
+            continue
+        prim = exactalg._to_int_poly(f)
+        prim = [-c for c in prim] if prim[-1] < 0 else prim
+        parts = exactalg._sqfree_parts(prim)
+        _, want = sympy.Poly(list(reversed(prim)), w).sqf_list()
+        want = {int(m): [int(c) for c in reversed(h.all_coeffs())] for h, m in want}
+        assert {i: part for i, part in enumerate(parts, 1) if len(part) > 1} == want
+
+
+def test_int_exact_quo_refuses_an_inexact_division():
+    assert exactalg._int_exact_quo([-2, 6, -2, 6], [-1, 3]) == [2, 0, 2]
+    # a leading coefficient that does not divide, a remainder, a divisor
+    # of higher degree
+    for f, g in (([2, 3], [2, 2]), ([1, 0, 1], [1, 1]), ([2], [1, 1])):
+        with pytest.raises(InternalCheckError, match="inexact"):
+            exactalg._int_exact_quo(f, g)
+
+
+def test_a_corrupted_squarefree_split_raises(monkeypatch):
+    # a wrong gcd leaves a remainder in an exact division of the split, or
+    # leaves a cofactor, and parts in the wrong order fail to reconstruct
+    f = up(-1, 2) ** 2 * up(1, 0, 1)
+    original = exactalg._int_gcd
+
+    def wrong(fa, fb):  # the gcd times w + 1
+        return list((exactalg._ZPoly(original(fa, fb)) * exactalg._ZPoly([1, 1])).coeffs)
+
+    monkeypatch.setattr(exactalg, "_int_gcd", wrong)
+    with pytest.raises(InternalCheckError, match="squarefree split"):
+        factor_rational(f)
+    calls = []
+
+    def coprime_after_the_first(fa, fb):  # gcd(f, f') right, later gcds 1
+        calls.append(1)
+        return original(fa, fb) if len(calls) == 1 else [1]
+
+    monkeypatch.setattr(exactalg, "_int_gcd", coprime_after_the_first)
+    with pytest.raises(InternalCheckError, match="cofactor"):
+        factor_rational(f)
+    monkeypatch.undo()
+    original_parts = exactalg._sqfree_parts
+    monkeypatch.setattr(exactalg, "_sqfree_parts", lambda f: list(reversed(original_parts(f))))
+    with pytest.raises(InternalCheckError, match="reconstruct"):
+        factor_rational(f)
 
 
 def test_rational_roots():
@@ -1299,16 +1409,34 @@ def test_kpoly_gcd_drops_the_image_of_an_unlucky_prime(monkeypatch):
     assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod) == c
     assert seen[0] == (_Q0, 2) and seen[1][1] == 1
     # with eta - q0 q1, two unlucky images agree on eta^2 - eta, and only
-    # the exact division refutes it
+    # the exact division refutes it, at the first image: the monic inputs
+    # fail to divide each other, and the candidate a does not divide b.
+    # The second image reconstructs the refuted candidate, which is not
+    # divided again
     seen.clear()
+    divided = []
+    original = exactalg._divides_in_field
+
+    def counted(g, f, pm):
+        divided.append(len(g) - 1)
+        return original(g, f, pm)
+
+    monkeypatch.setattr(exactalg, "_divides_in_field", counted)
     b = _kpoly_mul(c, _kpoly(mod, -_Q0 * _nth_prime(1), 1), mod)
     assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod) == c
-    assert [d for _, d in seen] == [2, 2, 1, 1]
-    # an unlucky image after a lucky one is dropped, not combined
+    assert [d for _, d in seen] == [2, 2, 1]
+    assert divided == [2, 2, 2, 2, 1, 1]
+    # an unlucky image after a lucky one is dropped, not combined: eta - N
+    # with N near 2^50 needs two primes to reconstruct, and q1 is unlucky.
+    # The reconstruction modulo q0 alone is wrong and fails to divide a
     seen.clear()
-    b = _kpoly_mul(c, _kpoly(mod, -_nth_prime(1), 1), mod)
+    divided.clear()
+    big = 2**50 + 17
+    c = _kpoly(mod, -big, 1)
+    a, b = _kpoly_mul(c, eta, mod), _kpoly_mul(c, _kpoly(mod, -_nth_prime(1), 1), mod)
     assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod) == c
     assert [d for _, d in seen] == [1, 2, 1]
+    assert divided == [1, 1, 1]
 
 
 def test_kpoly_gcd_skips_a_prime_in_a_denominator(monkeypatch):
@@ -1348,11 +1476,20 @@ def test_kpoly_gcd_bounds_candidates_that_fail_to_divide(monkeypatch):
     mod = up(1, 0, 1)
     c = _kpoly(mod, -1, 1)
     a, b = _kpoly_mul(c, _kpoly(mod, UniPoly.x(), 1), mod), _kpoly_mul(c, _kpoly(mod, 3, 1), mod)
-    monkeypatch.setattr(exactalg, "_divides_in_field", lambda g, f, pm: False)
+    divided = []
+
+    def refuse(g, f, pm):
+        divided.append(g)
+        return False
+
+    monkeypatch.setattr(exactalg, "_divides_in_field", refuse)
     seen = _recorded_images(monkeypatch)
     with pytest.raises(InternalCheckError, match="failed to divide"):
         exactalg.kpoly_gcd(a, b, mod)
+    # the first image's candidate is divided once; each later image
+    # reconstructs it again and counts as one more failed certificate
     assert len(seen) == exactalg._FAILED_CERTIFICATES + 1
+    assert len(divided) == 1
 
 
 def test_kpoly_gcd_with_a_zero_or_constant_argument():

@@ -414,6 +414,43 @@ def test_extension_singular_eta_reads_off_a_repeated_value():
         spectral._extension_singular_eta(f, f.derivative(), f.dw(), mod)
 
 
+def test_extension_singular_eta_takes_one_gcd_when_it_is_linear(monkeypatch):
+    # over K = Q[w]/(w^2 + 1), f = eta^2 - (w^2 + 1) is eta^2 in K[eta] and
+    # gcd(f, f_eta) = eta, but f_w = -2w does not vanish at eta = 0: a
+    # branch point, refuted by one gcd.  For f = eta^2 - (w^2 + 1)^2, f_w
+    # vanishes there too, and eta = 0 is the singular value
+    mod = up(1, 0, 1)
+    calls = []
+    original = spectral.kpoly_gcd
+
+    def counted(a, b, p):
+        calls.append(1)
+        return original(a, b, p)
+
+    monkeypatch.setattr(spectral, "kpoly_gcd", counted)
+    for base, want in ((mod, None), (mod * mod, reduce_mod(up(0), mod))):
+        f = ep(-base, 0, 1)
+        calls.clear()
+        assert spectral._extension_singular_eta(f, f.derivative(), f.dw(), mod) == want
+        assert len(calls) == 1
+        assert want == euclid_singular_eta(f, mod)
+    # a linear gcd that f_w vanishes at but f does not fails the cross-check
+    monkeypatch.setattr(spectral, "kpoly_gcd", lambda a, b, p: ep(-1, 1))
+    with pytest.raises(InternalCheckError, match="not a root"):
+        spectral._extension_singular_eta(f, f.derivative(), f.dw(), mod)
+
+
+def test_double_cover_squarefree_check_factors_nothing(monkeypatch):
+    # the branch form's squarefreeness is read off gcd(b0, b0'), not from a
+    # factorization
+    calls = []
+    monkeypatch.setattr(spectral, "factor_rational", lambda f: calls.append(f))
+    with pytest.raises(ShapeError, match="squarefree"):
+        double_cover_singularities(bf(1, [1, 1]), BinForm.const(1), bf(2, [1, 2, 1]))
+    assert double_cover_singularities(bf(1, [1, 2]), BinForm.const(3), bf(2, [-1, 0, 1])) == []
+    assert calls == []
+
+
 def test_singular_locus_unrepresentable_eta():
     # (eta^2 - 2t^2)^2 - s^3 t is singular at w = 0 with eta = +-sqrt(2)
     coeffs = [
