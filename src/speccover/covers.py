@@ -19,6 +19,7 @@ from .errors import (
     DegreeError,
     InternalCheckError,
     ShapeError,
+    UnsupportedCoverError,
 )
 from .exactalg import BinForm, PolyMatrix
 
@@ -315,6 +316,14 @@ def is_standard_cyclic(alg: CoverAlgebra) -> bool:
         alg.twist_degrees == std.twist_degrees
         and alg.structure_forms == std.structure_forms
     )
+
+
+def require_standard(sec: SectionData, what: str) -> int:
+    """The degree of the section's cover, which must be the standard cyclic
+    one; ``what`` opens the refusal, "<what> the standard cyclic cover only"."""
+    if not is_standard_cyclic(sec.cover):
+        raise UnsupportedCoverError(f"{what} the standard cyclic cover only")
+    return sec.cover.degree
 
 
 # ---------------------------------------------------------------------------

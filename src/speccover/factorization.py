@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import SectionData, is_standard_cyclic, make_standard_cyclic
-from .errors import InternalCheckError, UnsupportedCoverError
+from .covers import SectionData, make_standard_cyclic, require_standard
+from .errors import InternalCheckError
 from .spectral import SpectralCurve
 
 PULLBACK = "pullback"
@@ -44,14 +44,6 @@ class BirationalityVerdict:
     witness_base: Fraction = None
 
 
-def _require_standard(sec: SectionData) -> int:
-    if not is_standard_cyclic(sec.cover):
-        raise UnsupportedCoverError(
-            "factorization is computed for the standard cyclic cover only"
-        )
-    return sec.cover.degree
-
-
 def intermediate_factorization(sec: SectionData, curve: SpectralCurve) -> FactorizationReport:
     """Factor the section through the smallest cover that carries it.
 
@@ -61,7 +53,7 @@ def intermediate_factorization(sec: SectionData, curve: SpectralCurve) -> Factor
     returning: tau re-expands to the original section, and the full
     characteristic polynomial is the g-th power of tau's.
     """
-    r = _require_standard(sec)
+    r = require_standard(sec, "factorization is computed for")
     support = [rho[0] for rho in sec.components if rho and rho[0] != 0]
     g = math.gcd(r, *support) if support else r
     r_prime = r // g

@@ -6,7 +6,9 @@ are exact.  Invariant subsheaves are searched directly in two families:
 block subsheaves coming from summands of the upstairs bundle, and eigen
 lines attached to polynomial eigenvalue branches of the curve equation.
 The branches and the integrality of the curve are read off the cover's
-field structure, without a search (see ``polynomial_eta_roots``).
+field structure, without a search (see ``polynomial_eta_roots``), and an
+eigen line is read off the section, without a matrix or a kernel (see
+``invariant_subsheaf_search``).
 """
 
 from __future__ import annotations
@@ -15,13 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .covers import SectionData, SplitBundle, is_standard_cyclic, mult_matrix, pushforward_line_bundle
-from .errors import (
-    DegreeError,
-    InternalCheckError,
-    PullbackSectionError,
-    UnsupportedCoverError,
-)
+from .covers import SectionData, SplitBundle, pushforward_line_bundle, require_standard
+from .errors import DegreeError, InternalCheckError, PullbackSectionError, UnsupportedCoverError
 from .exactalg import PolyMatrix, UniPoly, as_rat, poly_gcd
 from .factorization import intermediate_factorization
 from .spectral import SpectralCurve, spectral_curve
@@ -91,20 +88,17 @@ def pushforward_relation_check(r: int, m: int) -> RelationReport:
 # the Higgs pair downstairs, block by block
 
 
-def _require_standard(sec: SectionData) -> int:
-    if not is_standard_cyclic(sec.cover):
-        raise UnsupportedCoverError(
-            "subsheaf search is implemented for the standard cyclic cover only"
-        )
-    return sec.cover.degree
+_SEARCH = "subsheaf search is implemented for"
+
+
+def _pushed_degrees(m_degrees: SplitBundle, r: int) -> list:
+    """The degrees of each summand's pushforward, class by class."""
+    return [pushforward_line_bundle(r, a).degrees for a in m_degrees.degrees]
 
 
 def graded_degrees(m_degrees: SplitBundle, r: int) -> tuple[int, ...]:
     """Degrees of the full pushforward, summand by summand then class by class."""
-    out = []
-    for a in m_degrees.degrees:
-        out.extend(pushforward_line_bundle(r, a).degrees)
-    return tuple(out)
+    return tuple(deg for degs in _pushed_degrees(m_degrees, r) for deg in degs)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +116,7 @@ def polynomial_eta_roots(sec: SectionData, curve: SpectralCurve) -> tuple:
     has eta-degree one: the one branch -m_0, m being monic.  At any higher
     eta-degree there is none.
     """
-    _require_standard(sec)
+    require_standard(sec, _SEARCH)
     form = curve.annihilating
     if form.degree > 1:
         return ()
@@ -155,7 +149,12 @@ def _vector_primitive(vec: list) -> tuple:
 
 def kernel_basis(mat: PolyMatrix) -> list:
     """Basis of the kernel over the rational function field, cleared to
-    primitive polynomial vectors.  Fraction-free echelon elimination."""
+    primitive polynomial vectors.  Fraction-free echelon elimination.
+
+    No production path calls it or its two helpers (see
+    ``invariant_subsheaf_search``); it stays for the tests' kernel oracle
+    and the benchmark's tracer, which wraps it by name.
+    """
     n = mat.n
     work = [list(row) for row in mat.rows]
     pivots = []
@@ -222,17 +221,16 @@ class SubsheafRecord:
     vector: tuple = ()
 
 
+def _record(degrees, ample_degree: int, **fields) -> SubsheafRecord:
+    """A record whose rank and Hilbert polynomial are read off its degrees."""
+    bundle = SplitBundle(degrees)
+    hilbert = hilbert_poly(bundle, ample_degree)
+    return SubsheafRecord(rank=bundle.rank, degrees=bundle.degrees, hilbert=hilbert, **fields)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     records: tuple
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-def _line_degree(vec, degrees) -> int:
-    spans = [degrees[i] - vec[i].degree() for i in range(len(vec)) if not vec[i].is_zero()]
-    return min(spans)
 
 
 def invariant_subsheaf_search(
@@ -242,67 +240,42 @@ def invariant_subsheaf_search(
 
     ``roots`` is ``polynomial_eta_roots`` of the section.  Blocks are
     invariant because multiplication by the section never mixes the upstairs
-    summands.  Eigen lines are saturated line subsheaves spanned by a kernel
-    vector of the matrix minus a polynomial eigenvalue; for each eigenvalue
-    the basis vector giving the largest line degree is kept.
-    """
-    r = _require_standard(sec)
-    ell = m_degrees.rank
-    records = []
-    for size in range(1, ell):
-        for subset in combinations(range(ell), size):
-            degs = []
-            for i in subset:
-                degs.extend(pushforward_line_bundle(r, m_degrees.degrees[i]).degrees)
-            bundle = SplitBundle(degs)
-            records.append(
-                SubsheafRecord(
-                    kind="block",
-                    rank=bundle.rank,
-                    degrees=tuple(degs),
-                    hilbert=hilbert_poly(bundle, ample_degree),
-                    indices=subset,
-                )
-            )
-    records.sort(key=lambda rec: (len(rec.indices), rec.indices))
+    summands.  An eigen line is spanned by a kernel vector v of M - lambda I,
+    M the chart-0 multiplication matrix and lambda a polynomial eigenvalue;
+    it has degree min(graded[i] - deg v_i) over v_i != 0, ``graded`` being
+    the ``graded_degrees``.  The largest is kept, ties going to the least
+    ``tuple(p.coeffs for p in v)``.
 
-    # every summand's pushforward carries the same block on chart 0, the
-    # multiplication matrix; only the degrees of its classes depend on it.
-    # Only an eigenvalue branch reads it, so it is built only for one.
-    block = mult_matrix(sec, 0) if roots else None
-    eigen = []
+    That line has a closed form.  A root exists only at eta-degree one (see
+    ``polynomial_eta_roots``), and the reduced degree is r/g with
+    g = gcd(r, support), as ``intermediate_factorization`` checks, so the
+    support lies in {0}; ``SectionData`` drops zero components.  Then
+    multiplication by the section sends every summand to itself with
+    coefficient h_0, so M = h_0 I, lambda = h_0 and M - lambda I = 0.  Each
+    unit vector e_j spans a saturated invariant line of degree graded[j],
+    and no line's degree exceeds max(graded).  The zero polynomial's
+    coefficients () sort before the one's, so the kept line is e_j at the
+    last j with graded[j] = max(graded).  (M - lambda I) e_j = 0 for every j
+    holds exactly when each component sits at the trivial character (a
+    nontrivial one moves summands through nonzero structure forms) and
+    lambda is h_0 on chart 0; both are checked.
+    """
+    r = require_standard(sec, _SEARCH)
+    pushed = _pushed_degrees(m_degrees, r)
+    records = []
+    for size in range(1, len(pushed)):
+        for subset in combinations(range(len(pushed)), size):
+            degs = [deg for i in subset for deg in pushed[i]]
+            records.append(_record(degs, ample_degree, kind="block", indices=subset))
+    graded = [deg for degs in pushed for deg in degs]
+    iden = sec.cover.group.identity()
     for lam in roots:
-        shifted_rows = [
-            [block.rows[i][j] - lam if i == j else block.rows[i][j] for j in range(r)]
-            for i in range(r)
-        ]
-        kernel = kernel_basis(PolyMatrix(shifted_rows))
-        candidates = []
-        for offset, a in enumerate(m_degrees.degrees):
-            block_degs = pushforward_line_bundle(r, a).degrees
-            for vec in kernel:
-                full = [UniPoly.zero()] * (r * offset) + list(vec)
-                full += [UniPoly.zero()] * (r * ell - len(full))
-                candidates.append((_line_degree(vec, block_degs), tuple(full)))
-        if not candidates:
-            raise InternalCheckError("an eigenvalue branch must contribute a kernel line")
-        c = max(item[0] for item in candidates)
-        vec = min(
-            (item[1] for item in candidates if item[0] == c),
-            key=lambda v: tuple(p.coeffs for p in v),
-        )
-        eigen.append(
-            SubsheafRecord(
-                kind="eigen",
-                rank=1,
-                degrees=(c,),
-                hilbert=hilbert_poly(SplitBundle([c]), ample_degree),
-                eigenvalue=lam,
-                vector=vec,
-            )
-        )
-    eigen.sort(key=lambda rec: (rec.eigenvalue.degree(), rec.eigenvalue.coeffs))
-    records.extend(eigen)
+        if set(sec.components) - {iden} or lam != sec.component(iden).dehomogenize(0):
+            raise InternalCheckError("an eigenvalue branch needs the section to be the scalar h_0")
+        c = max(graded)
+        j = max(i for i, deg in enumerate(graded) if deg == c)
+        vector = tuple(UniPoly.one() if i == j else UniPoly.zero() for i in range(len(graded)))
+        records.append(_record([c], ample_degree, kind="eigen", eigenvalue=lam, vector=vector))
     return SearchResult(tuple(records))
 
 
@@ -356,7 +329,7 @@ def gieseker_verdict(
     Returns the verdict together with the search and the integrality report
     it was decided from.
     """
-    r = _require_standard(sec)
+    r = require_standard(sec, _SEARCH)
     curve = spectral_curve(sec)
     roots = polynomial_eta_roots(sec, curve)
     search = invariant_subsheaf_search(m_degrees, sec, roots, ample_degree)
@@ -378,7 +351,7 @@ def gieseker_verdict(
 
 def double_cover_verdict(m_degrees: SplitBundle, sec: SectionData) -> StabilityVerdict:
     """Verdict for a genuine double-cover section, read off the summands alone."""
-    r = _require_standard(sec)
+    r = require_standard(sec, _SEARCH)
     if r != 2:
         raise UnsupportedCoverError("this shortcut applies to degree-2 covers only")
     if sec.component(1).is_zero():
@@ -390,14 +363,8 @@ def double_cover_verdict(m_degrees: SplitBundle, sec: SectionData) -> StabilityV
         return StabilityVerdict(STABLE, None, "prop-doublecover")
     total = _total_poly(m_degrees, 2, 1)
     best = max(range(len(degs)), key=lambda i: degs[i])
-    block_degs = tuple(pushforward_line_bundle(2, degs[best]).degrees)
-    witness = SubsheafRecord(
-        kind="block",
-        rank=2,
-        degrees=block_degs,
-        hilbert=hilbert_poly(SplitBundle(block_degs), 1),
-        indices=(best,),
-    )
+    block_degs = pushforward_line_bundle(2, degs[best]).degrees
+    witness = _record(block_degs, 1, kind="block", indices=(best,))
     if all(a == degs[0] for a in degs):
         if witness.hilbert != total:
             raise InternalCheckError("equal summands must give the total polynomial")

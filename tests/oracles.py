@@ -8,7 +8,8 @@ arithmetic and printing in Fraction arithmetic, the multiplication matrix
 class by class and form by form, the annihilating polynomial by matrix powers, the
 annihilation check by Horner over Q[w], the triple-cover criterion, points
 of the source mapped onto the curve, residue-field inverses and gcds by
-rational Euclid, polynomial eigenvalue branches by Newton lifting), or a
+rational Euclid, polynomial eigenvalue branches by Newton lifting, eigen
+lines by the kernel over Q[w]), or a
 helper that builds and recombines test sections on
 the standard cyclic cover.
 """
@@ -19,7 +20,14 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from speccover.covers import SectionData, is_standard_cyclic, make_standard_cyclic, mult_matrix
+from speccover.covers import (
+    SectionData,
+    SplitBundle,
+    is_standard_cyclic,
+    make_standard_cyclic,
+    mult_matrix,
+    pushforward_line_bundle,
+)
 from speccover.errors import (
     DegreeError,
     InternalCheckError,
@@ -45,6 +53,7 @@ from speccover.exactalg import (
     reduce_mod,
 )
 from speccover.spectral import CharData, EtaForm, SingularPoint, invariant_sections
+from speccover.stability import SubsheafRecord, hilbert_poly, kernel_basis
 
 
 class NonDepressedCubicError(SpecCoverError):
@@ -706,3 +715,37 @@ def triple_test_cubic(cubic: EtaPoly, locus, chart: int = 0) -> TripleTestResult
     if not cubic.coeff(2).is_zero():
         raise NonDepressedCubicError("eta^2 coefficient is nonzero; complete the cube")
     return triple_singularity_test(cubic.coeff(1), cubic.coeff(0), locus, chart)
+
+
+# ---------------------------------------------------------------------------
+# eigen lines
+
+
+def eigen_records_by_kernel(m_degrees: SplitBundle, sec: SectionData, roots: tuple, ample_degree: int) -> list:
+    """The eigen records of ``invariant_subsheaf_search``, from the kernel of
+    M - lambda I over Q[w] for M the chart-0 multiplication matrix, which
+    every summand's pushforward carries.  Each basis vector v of the kernel,
+    placed in each summand, spans a line of degree min(degs[i] - deg v_i)
+    over v_i != 0, degs being that summand's pushforward degrees; the
+    largest is kept, ties going to the least ``tuple(p.coeffs for p in v)``.
+    """
+    r, ell = sec.cover.degree, m_degrees.rank
+    block = mult_matrix(sec, 0)
+    zero = (UniPoly.zero(),)
+    out = []
+    for lam in roots:
+        shifted = [[e - lam if i == j else e for j, e in enumerate(row)] for i, row in enumerate(block.rows)]
+        kernel = kernel_basis(PolyMatrix(shifted))
+        candidates = []
+        for offset, a in enumerate(m_degrees.degrees):
+            degs = pushforward_line_bundle(r, a).degrees
+            for vec in kernel:
+                line = min(degs[i] - e.degree() for i, e in enumerate(vec) if not e.is_zero())
+                candidates.append((line, zero * (r * offset) + vec + zero * (r * (ell - offset - 1))))
+        if not candidates:
+            raise InternalCheckError("an eigenvalue branch must contribute a kernel line")
+        c = max(line for line, _ in candidates)
+        vec = min((v for line, v in candidates if line == c), key=lambda v: tuple(p.coeffs for p in v))
+        hilbert = hilbert_poly(SplitBundle([c]), ample_degree)
+        out.append(SubsheafRecord(kind="eigen", rank=1, degrees=(c,), hilbert=hilbert, eigenvalue=lam, vector=vec))
+    return out

@@ -489,10 +489,19 @@ def test_each_curve_job_computes_two_characteristic_polynomials(monkeypatch):
     assert calls == [2, 2]
 
 
+def _patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace module.name in every speccover module that bound it; returns
+    the original."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("speccover") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+    return original
+
+
 def _count_everywhere(monkeypatch, module, name, record):
     """Wrap module.name in every speccover module that bound it; each call
     appends record(args, result) to the returned list."""
-    original = getattr(module, name)
     calls = []
 
     def counted(*args):
@@ -500,9 +509,7 @@ def _count_everywhere(monkeypatch, module, name, record):
         calls.append(record(args, out))
         return out
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("speccover") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
+    original = _patch_everywhere(monkeypatch, module, name, counted)
     return calls
 
 
@@ -541,8 +548,8 @@ def test_each_curve_builds_each_chart_matrix_once(monkeypatch):
     # straight from integer coefficient lists, and hands them to the
     # characteristic polynomials, the reduced part and both annihilation
     # checks, which evaluate each of them once per integer point; the
-    # stability search builds its block only for an eigenvalue branch,
-    # which needs eta-degree one, as a pullback has
+    # stability search builds none, not even for the eigenvalue branch of
+    # a pullback, where it reads the eigen line off the section
     from speccover import covers, exactalg
 
     built = _count_everywhere(monkeypatch, covers, "mult_matrix", lambda args, out: out)
@@ -563,7 +570,7 @@ def test_each_curve_builds_each_chart_matrix_once(monkeypatch):
     stability = jobs[-1]
     proper = dict(stability, cover={"r": 4}, section={"2": {"degree": 1, "coeffs": [1, 2]}})
     pullback = dict(stability, section={"0": {"degree": 2, "coeffs": [1, -2, 3]}})
-    for job, want in [(job, 2) for job in jobs] + [(proper, 2), (pullback, 3)]:
+    for job, want in [(job, 2) for job in jobs] + [(proper, 2), (pullback, 2)]:
         built.clear()
         scaled.clear()
         points.clear()
@@ -574,6 +581,34 @@ def test_each_curve_builds_each_chart_matrix_once(monkeypatch):
         assert len(evaluated) == 2, job["command"]
         assert evaluated == {id(mat) for mat in built[:2]}, job["command"]
         assert len({(id(mat), x) for mat, x in points}) == len(points), job["command"]
+
+
+def test_tracer_only_functions_have_no_production_caller(monkeypatch):
+    # the benchmark's tracer wraps these by name, but no command calls them:
+    # every command, the repro corpus, a pullback stability job with an
+    # eigen record and a singular job over residue fields run without them
+    from speccover import exactalg, spectral, stability
+
+    def refuse(*args):
+        raise AssertionError("a production path called a tracer-only function")
+
+    for module, name in [(stability, "kernel_basis"), (exactalg, "eta_gcd"), (spectral, "annihilating_poly")]:
+        _patch_everywhere(monkeypatch, module, name, refuse)
+    monkeypatch.setattr(exactalg.ExtElem, "inv", refuse)
+    moduli = _count_everywhere(monkeypatch, exactalg, "kpoly_gcd", lambda args, out: args[2])
+    assert cli.build_repro_doc()["jobs"]
+    moduli.clear()
+    jobs = {job["command"]: job for job in curve_jobs()}
+    pullback = dict(jobs["stability"], section={"0": {"degree": 2, "coeffs": [1, -2, 3]}})
+    jobs["genus"] = {"command": "genus", "cover": {"r": 3}, "twist_degree": 2}
+    jobs["pushforward"] = {"command": "pushforward", "cover": {"r": 3}, "line_degree": 4}
+    assert set(jobs) == set(cli._DISPATCH)
+    for job in jobs.values():
+        cli.run_job(job)
+    # only the singular job takes residue-field gcds
+    assert moduli and all(p.degree() > 1 for p in moduli)
+    records = cli.run_job(pullback)["results"]["records"]
+    assert [rec["kind"] for rec in records] == ["block", "block", "eigen"]
 
 
 def test_stability_job_factors_nothing(monkeypatch):

@@ -9,6 +9,7 @@ from conftest import F, bf, char_poly_by_elimination, rand_binform, rng_for, up
 from oracles import (
     block_matrix_by_classes,
     compose,
+    eigen_records_by_kernel,
     eval_poly,
     lift_series_root,
     polynomial_branches_by_lifting,
@@ -17,7 +18,7 @@ from oracles import (
     truncate,
 )
 from speccover.covers import SectionData, SplitBundle, make_standard_cyclic, mult_matrix
-from speccover.errors import DegreeError, PullbackSectionError, UnsupportedCoverError
+from speccover.errors import DegreeError, InternalCheckError, PullbackSectionError, UnsupportedCoverError
 from speccover.exactalg import BinForm, PolyMatrix, UniPoly, char_poly_matrix
 from speccover.stability import (
     HilbertPoly,
@@ -319,6 +320,43 @@ def test_search_pullback_blocks_and_eigen():
     assert eigen.rank == 1
     assert eigen.degrees == (0,)
     assert [not v.is_zero() for v in eigen.vector].count(True) == 1
+
+
+def test_eigen_records_match_the_kernel_oracle():
+    # a pullback acts as the scalar h_0, so the eigen line read off the
+    # graded degrees must be the one the kernel of M - h_0 I gives
+    rng = rng_for("eigen-by-kernel")
+    seen = set()
+    for n in range(150):
+        r = rng.randint(1, 6)
+        d = rng.randint(0, 3)
+        sec = section(r, d, {} if n % 10 == 0 else {0: rand_binform(rng, d, nonzero=True)})
+        m_degrees = SplitBundle([rng.randint(-3, 3) for _ in range(rng.randint(1, 5))])
+        ample = rng.randint(1, 3)
+        roots = roots_of(sec)
+        records = invariant_subsheaf_search(m_degrees, sec, roots, ample).records
+        eigen = [rec for rec in records if rec.kind == "eigen"]
+        assert len(eigen) == 1 and records[-1] is eigen[0]
+        assert eigen == eigen_records_by_kernel(m_degrees, sec, roots, ample), (r, d, m_degrees)
+        seen.add((r == 1, sec.is_zero()))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_search_refuses_a_root_the_section_does_not_act_by():
+    # the eigen line rests on M - lambda I = 0: a nontrivial component or
+    # an eigenvalue other than h_0 breaks it
+    bundle = SplitBundle([0, 1])
+    h0 = bf(1, [2, 3])
+    for sec, lam in [
+        (section(2, 1, {1: bf(0, [1])}), up()),
+        (section(2, 1, {0: h0, 1: bf(0, [1])}), up(2, 3)),
+        (section(3, 2, {2: bf(1, [1, 1])}), up()),
+        (section(2, 1, {0: h0}), up(2, 4)),
+        (section(3, 2, {}), up(1)),
+    ]:
+        with pytest.raises(InternalCheckError):
+            invariant_subsheaf_search(bundle, sec, (lam,))
+    assert invariant_subsheaf_search(bundle, section(2, 1, {0: h0}), (up(2, 3),)).records[-1].kind == "eigen"
 
 
 def test_search_record_ranks_are_proper():
