@@ -312,13 +312,13 @@ def _run_stability(job, chart):
         raise JobError(f"m_degrees: {exc}") from exc
     ample = job.get("ample_degree", 1)
     r = sec.cover.degree
-    verdict, search, integrality = gieseker_verdict(m_degrees, sec, ample)
+    verdict, records, integrality = gieseker_verdict(m_degrees, sec, ample)
     graded = graded_degrees(m_degrees, r)
     results = {
         "verdict": sz.verdict_to_json(verdict),
         "total": sz.hilbert_to_json(hilbert_poly(SplitBundle(graded), ample)),
         "graded_degrees": list(graded),
-        "records": [sz.record_to_json(rec) for rec in search.records],
+        "records": [sz.record_to_json(rec) for rec in records],
         "search_complete": True,  # kept in the schema; the branches are read off, not searched for
         "integrality": sz.integrality_to_json(integrality),
     }
@@ -491,7 +491,7 @@ def repro_spot_checks(seed: int) -> dict:
         d = rng.randint(1, 3)
         f = _rand_form(rng, d - 1)
         sec = SectionData(make_standard_cyclic(2), d, {1: f})
-        char = spectral_curve(sec).char.char_form()
+        char = spectral_curve(sec).char
         st_ff = BinForm.s() * BinForm.t() * f * f
         ok = ok and char.coeff(0) == -st_ff and char.coeff(1).is_zero()
     checks["conic_identity"] = ok
@@ -508,7 +508,7 @@ def repro_spot_checks(seed: int) -> dict:
         power = curve.annihilating
         for _ in range(g - 1):
             power = power * curve.annihilating
-        ok = ok and power == curve.char.char_form()
+        ok = ok and power == curve.char
     checks["power_identity"] = ok
 
     ok = True

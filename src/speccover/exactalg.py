@@ -1585,7 +1585,8 @@ def kpoly_gcd(a: EtaPoly, b: EtaPoly, p: UniPoly) -> EtaPoly:
     inverted was a unit, so g_q is their gcd in each of those fields.
     Hence deg G <= deg g_q = deg g.  g divides a and b, so g divides G; both
     are monic, so g = G.  An image of degree 0 proves G = 1 at once, and
-    an input that is monic of the image's degree is tried as g at once.
+    an input that is monic of the image's degree is tried as g at once; one
+    that fails to divide the other input is refuted like a reconstruction.
 
     Only finitely many primes are refused or give too large a degree while
     p is irreducible; a run of ``_REFUSED_PRIMES`` refusals is taken for a
@@ -1621,8 +1622,10 @@ def kpoly_gcd(a: EtaPoly, b: EtaPoly, p: UniPoly) -> EtaPoly:
         if best is None or n < best:
             best, images, modulo, failed, refuted = n, image, q, 0, None
             for f, fi, other in ((b, bi, ai), (a, ai, bi)):
-                if len(f) == n + 1 and f[-1] == 1 and _divides_in_field(fi, other, pm):
-                    return EtaPoly(f)
+                if len(f) == n + 1 and f[-1] == 1:
+                    if _divides_in_field(fi, other, pm):
+                        return EtaPoly(f)
+                    refuted = [x for c in f[:-1] for x in c.coeffs + (0,) * (k - len(c.coeffs))]
         elif n > best:
             continue
         else:

@@ -73,7 +73,7 @@ def intermediate_factorization(sec: SectionData, curve: SpectralCurve) -> Factor
     if SectionData(sec.cover, sec.twist_degree, pulled) != sec:
         raise InternalCheckError("pulled-back tau does not reproduce the section")
 
-    char = curve.char.char_form()
+    char = curve.char
     reduced = curve.annihilating
     if (reduced**g).coeffs != char.coeffs:
         raise InternalCheckError(

@@ -31,7 +31,7 @@ from .covers import (
 from .errors import JobError, SpecCoverError
 from .exactalg import BinForm, ExtElem, ProjPoint, UniPoly
 from .factorization import BirationalityVerdict, FactorizationReport
-from .spectral import CharData, EtaForm, SingularPoint, SpectralCurve
+from .spectral import EtaForm, SingularPoint, SpectralCurve
 from .stability import (
     HilbertPoly,
     IntegralityReport,
@@ -220,12 +220,16 @@ def etaform_to_json(f: EtaForm) -> dict:
     }
 
 
-def chardata_to_json(c: CharData) -> dict:
+def chardata_to_json(char: EtaForm) -> dict:
+    """The monic characteristic polynomial as its rank, twist and the signed
+    elementary forms: ``elementary[i-1]`` is (-1)^i times the eta^(r-i)
+    coefficient, the i-th elementary symmetric function of the eigenvalues."""
+    r = char.degree
     return {
-        "rank": c.rank,
-        "twist": c.twist,
-        "elementary": [form_to_json(e) for e in c.elementary],
-        "printed": c.char_form().str_in("s", "t", "eta"),
+        "rank": r,
+        "twist": char.twist,
+        "elementary": [form_to_json(char.coeff(r - i) * (-1) ** i) for i in range(1, r + 1)],
+        "printed": char.str_in("s", "t", "eta"),
     }
 
 

@@ -1,15 +1,16 @@
 """Spectral curves of the induced twisted endomorphism.
 
 Multiplication by a decomposed section, pushed down to the base, is a matrix
-of binary forms.  This module extracts its characteristic and annihilating
-data as honest homogeneous objects, locates the singular points of the curve
-those cut out, and carries the closed-form singularity predictor for double
-covers.
+of binary forms.  This module extracts its characteristic polynomial and
+its reduced part as monic ``EtaForm``s (the characteristic coefficients are
+the invariant sections of the twist powers), locates the singular points of
+the curve those cut out, and carries the closed-form singularity predictor
+for double covers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -136,59 +137,19 @@ class EtaForm:
 
 
 @dataclass(frozen=True)
-class CharData:
-    """Characteristic data of the induced endomorphism.
-
-    ``elementary[i-1]`` is the i-th elementary symmetric function of the
-    fiber eigenvalues, a form of degree i*twist; the polynomial itself uses
-    the signed versions.  ``chart0`` is the polynomial on chart 0 exactly as
-    ``invariant_sections`` computed it, which ``annihilating_poly`` reads;
-    only ``invariant_sections`` sets it, so a hand-built CharData has None.
-    It is not compared.
-    """
-
-    rank: int
-    twist: int
-    elementary: tuple
-    chart0: EtaPoly = field(default=None, init=False, compare=False, repr=False)
-
-    def __init__(self, rank: int, twist: int, elementary: Sequence[BinForm]):
-        elementary = tuple(elementary)
-        if len(elementary) != rank:
-            raise ShapeError(f"need {rank} elementary forms, got {len(elementary)}")
-        for i, e in enumerate(elementary, start=1):
-            if e.degree != i * twist:
-                raise DegreeError(
-                    f"e_{i} has degree {e.degree}, expected {i * twist}"
-                )
-        object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "twist", int(twist))
-        object.__setattr__(self, "elementary", elementary)
-
-    def signed_coefficient(self, i: int) -> BinForm:
-        """Coefficient of eta^(rank-i) in the characteristic polynomial."""
-        e = self.elementary[i - 1]
-        return e if i % 2 == 0 else -e
-
-    def char_form(self) -> EtaForm:
-        r, d = self.rank, self.twist
-        coeffs = [BinForm.zero((r - j) * d) for j in range(r)] + [BinForm.const(1)]
-        for i in range(1, r + 1):
-            coeffs[r - i] = self.signed_coefficient(i)
-        return EtaForm(d, coeffs)
-
-
-@dataclass(frozen=True)
 class SpectralCurve:
     """Curve data: characteristic polynomial plus its reduced part.
 
-    ``integral`` means certified integral; False is "not certified", not a
-    proof of reducibility.  ``witness_base`` is a base value where the
-    reduced part's fibre is squarefree, which ``spectral_curve`` sets;
-    curves assembled by hand leave it None.
+    ``char`` is the monic characteristic polynomial of eta-degree r, the
+    cover's degree, and ``annihilating`` its squarefree part; both are
+    EtaForms of the section's twist.  ``integral`` means certified
+    integral; False is "not certified", not a proof of reducibility.
+    ``witness_base`` is a base value where the reduced part's fibre is
+    squarefree, which ``spectral_curve`` sets; curves assembled by hand
+    leave it None.
     """
 
-    char: CharData
+    char: EtaForm
     annihilating: EtaForm
     integral: bool = False
     witness_base: Fraction = None
@@ -256,35 +217,32 @@ def _chart_matrices(sec: SectionData) -> tuple:
     return mult_matrix(sec, 0), mult_matrix(sec, 1)
 
 
-def invariant_sections(sec: SectionData, mats: tuple = None) -> CharData:
-    """Characteristic coefficients of the pushed-forward multiplication map.
+def invariant_sections(sec: SectionData, mats: tuple = None) -> EtaForm:
+    """Characteristic polynomial of the pushed-forward multiplication map.
 
-    Computed independently on both affine charts; the two homogenizations
-    must agree form by form.  ``mats`` are the two charts' matrices, as
+    A monic form of eta-degree r whose eta^(r-i) coefficient, of degree
+    i*twist, is the i-th invariant section up to the sign (-1)^i.  Computed
+    independently on both affine charts; the two homogenizations must agree
+    form by form.  ``mats`` are the two charts' matrices, as
     ``spectral_curve`` passes them; without it they are built here.
     """
-    r = sec.cover.degree
     d = sec.twist_degree
     polys = [char_poly_matrix(mat) for mat in mats or _chart_matrices(sec)]
     forms = [_homogenized_eta(cp, d, chart, "characteristic polynomial") for chart, cp in enumerate(polys)]
     if forms[0].coeffs != forms[1].coeffs:
         raise InternalCheckError("charts disagree on the characteristic polynomial")
-    char = forms[0]
-    elementary = []
-    for i in range(1, r + 1):
-        c = char.coeff(r - i)
-        elementary.append(c if i % 2 == 0 else -c)
-    data = CharData(r, d, elementary)
-    object.__setattr__(data, "chart0", polys[0])
-    return data
+    return forms[0]
 
 
-def _reduced_part(mats: tuple, twist: int, char: CharData) -> tuple[EtaForm, Fraction]:
+def _reduced_part(mats: tuple, twist: int, char: EtaForm) -> tuple[EtaForm, Fraction]:
     """The reduced part m of ``char`` as a form, with its witness base.
 
     ``mats`` are the multiplication matrices M of the section on charts 0
     and 1, and ``twist`` its twist degree.  ``min_poly_matrix`` takes m
-    once, on chart 0, from ``char.chart0``, and certifies it: m is
+    once, on chart 0, from ``char.dehomogenize(0)``.  That is the chart-0
+    ``char_poly_matrix`` result coefficient by coefficient: ``from_chart``
+    only pads each coefficient list with zeros up to its form degree, and
+    ``BinForm.dehomogenize(0)`` strips them again.  It certifies m: m is
     squarefree at the witness base and char = m^k, which together prove
     m = sqfree(char).  m(sigma) = 0 is checked in the cover algebra on both
     charts, as m(M) e_0 = 0 by ``annihilates_unit``.  This is as strong as
@@ -300,27 +258,25 @@ def _reduced_part(mats: tuple, twist: int, char: CharData) -> tuple[EtaForm, Fra
     ``char_poly_matrix`` already made the matrix's Krylov vectors, and
     reads them, as the chart-0 check does those of chart 0.
     """
-    if char.chart0 is None:
-        raise ValueError("char must come from invariant_sections")
-    minimal, base = min_poly_matrix(mats[0], char.chart0)
+    minimal, base = min_poly_matrix(mats[0], char.dehomogenize(0))
     form = _homogenized_eta(minimal, twist, 0, "annihilating polynomial")
     if not annihilates_unit(mats[1], form.dehomogenize(1)):
         raise InternalCheckError("annihilating polynomial fails to annihilate on chart 1")
     return form, base
 
 
-def annihilating_poly(sec: SectionData, char: CharData) -> EtaForm:
+def annihilating_poly(sec: SectionData, char: EtaForm) -> EtaForm:
     """Reduced (squarefree) part of the characteristic polynomial.
 
-    ``char`` is ``invariant_sections(sec)``, and a CharData built by hand
-    raises ValueError; see ``_reduced_part`` for the certificates.
+    ``char`` is ``invariant_sections(sec)``; see ``_reduced_part`` for the
+    certificates.
     """
     return _reduced_part(_chart_matrices(sec), sec.twist_degree, char)[0]
 
 
 def spectral_curve(sec: SectionData) -> SpectralCurve:
-    """Bundle the characteristic data with its reduced part m and the base
-    value where m is certified squarefree.
+    """Bundle the characteristic polynomial with its reduced part m and the
+    base value where m is certified squarefree.
 
     Each chart's multiplication matrix is built once, and the
     characteristic polynomial, the reduced part and both annihilation
@@ -331,7 +287,7 @@ def spectral_curve(sec: SectionData) -> SpectralCurve:
     mats = _chart_matrices(sec)
     char = invariant_sections(sec, mats)
     annih, base = _reduced_part(mats, sec.twist_degree, char)
-    return SpectralCurve(char, annih, integral=(char.rank == 1), witness_base=base)
+    return SpectralCurve(char, annih, integral=(char.degree == 1), witness_base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +403,7 @@ def singular_locus(curve: SpectralCurve) -> list:
     polynomial and both partial derivatives exactly, over the rationals or
     over the residue field of the locus.
     """
-    if all(e.is_zero() for e in curve.char.elementary):
+    if all(c.is_zero() for c in curve.char.coeffs[:-1]):
         raise NonReducedCurveError(
             "the zero section cuts a non-reduced scheme; nothing to report"
         )

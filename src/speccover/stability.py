@@ -228,15 +228,11 @@ def _record(degrees, ample_degree: int, **fields) -> SubsheafRecord:
     return SubsheafRecord(rank=bundle.rank, degrees=bundle.degrees, hilbert=hilbert, **fields)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    records: tuple
-
-
 def invariant_subsheaf_search(
     m_degrees: SplitBundle, sec: SectionData, roots: tuple, ample_degree: int = 1
-) -> SearchResult:
-    """Block subsheaves and polynomial eigen lines of the induced Higgs pair.
+) -> tuple:
+    """Block subsheaves and polynomial eigen lines of the induced Higgs pair,
+    as a tuple of ``SubsheafRecord``s: the blocks, then the eigen lines.
 
     ``roots`` is ``polynomial_eta_roots`` of the section.  Blocks are
     invariant because multiplication by the section never mixes the upstairs
@@ -276,7 +272,7 @@ def invariant_subsheaf_search(
         j = max(i for i, deg in enumerate(graded) if deg == c)
         vector = tuple(UniPoly.one() if i == j else UniPoly.zero() for i in range(len(graded)))
         records.append(_record([c], ample_degree, kind="eigen", eigenvalue=lam, vector=vector))
-    return SearchResult(tuple(records))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ def _total_poly(m_degrees: SplitBundle, r: int, ample_degree: int) -> HilbertPol
 
 def gieseker_verdict(
     m_degrees: SplitBundle, sec: SectionData, ample_degree: int = 1
-) -> tuple[StabilityVerdict, SearchResult, IntegralityReport]:
+) -> tuple[StabilityVerdict, tuple, IntegralityReport]:
     """Stability of the induced pair, decided by the direct subsheaf search.
 
     A record strictly above the total polynomial is a proof of instability
@@ -326,17 +322,17 @@ def gieseker_verdict(
     since then kernel-line and block candidates are the only invariant
     subsheaves there are.  Anything less stays undetermined.
 
-    Returns the verdict together with the search and the integrality report
-    it was decided from.
+    Returns the verdict together with the search's records and the
+    integrality report it was decided from.
     """
     r = require_standard(sec, _SEARCH)
     curve = spectral_curve(sec)
     roots = polynomial_eta_roots(sec, curve)
-    search = invariant_subsheaf_search(m_degrees, sec, roots, ample_degree)
+    records = invariant_subsheaf_search(m_degrees, sec, roots, ample_degree)
     integrality = certify_integrality(sec, curve)
     total = _total_poly(m_degrees, r, ample_degree)
-    above = [rec for rec in search.records if precedes(total, rec.hilbert, strict=True)]
-    equal = [rec for rec in search.records if rec.hilbert == total]
+    above = [rec for rec in records if precedes(total, rec.hilbert, strict=True)]
+    equal = [rec for rec in records if rec.hilbert == total]
     if above:
         witness = max(above, key=lambda rec: (rec.hilbert.linear, rec.hilbert.constant))
         verdict = StabilityVerdict(UNSTABLE, witness, "direct-search")
@@ -346,7 +342,7 @@ def gieseker_verdict(
         verdict = StabilityVerdict(STABLE, None, "prop-stability")
     else:
         verdict = StabilityVerdict(UNDETERMINED, None, "direct-search", integrality.reasons)
-    return verdict, search, integrality
+    return verdict, records, integrality
 
 
 def double_cover_verdict(m_degrees: SplitBundle, sec: SectionData) -> StabilityVerdict:

@@ -27,6 +27,13 @@ def ep(*coeffs) -> EtaPoly:
     return EtaPoly(coeffs)
 
 
+def elementary(form) -> tuple:
+    """The elementary symmetric forms e_1..e_r of a monic eta-form's roots:
+    e_i is (-1)^i times the eta^(r-i) coefficient."""
+    r = form.degree
+    return tuple(form.coeff(r - i) * (-1) ** i for i in range(1, r + 1))
+
+
 def rng_for(name: str) -> random.Random:
     return random.Random(f"speccover:{name}")
 

@@ -52,7 +52,7 @@ from speccover.exactalg import (
     rational_roots,
     reduce_mod,
 )
-from speccover.spectral import CharData, EtaForm, SingularPoint, invariant_sections
+from speccover.spectral import EtaForm, SingularPoint, invariant_sections
 from speccover.stability import SubsheafRecord, hilbert_poly, kernel_basis
 
 
@@ -276,7 +276,7 @@ def eval_spectral_point(sec: SectionData, x: ProjPoint):
         xi = x0**k * y0 ** (r - k) if k else Fraction(1)
         sigma += xi * form.evaluate(x0**r, y0**r)
     eta = sigma / (y0 ** (r * d) if y0 != 0 else x0 ** (r * d))
-    check = invariant_sections(sec).char_form()
+    check = invariant_sections(sec)
     chart = 0 if y0 != 0 else 1
     w0 = Fraction(base.a, base.b) if chart == 0 else Fraction(base.b, base.a)
     if check.dehomogenize(chart).at_base(w0).evaluate(eta) != 0:
@@ -296,7 +296,7 @@ def _matmul(a: list, b: list) -> list:
     ]
 
 
-def annihilating_by_matrix_powers(sec: SectionData, char: CharData) -> EtaForm:
+def annihilating_by_matrix_powers(sec: SectionData, char: EtaForm) -> EtaForm:
     """Squarefree part of the characteristic polynomial, chart by chart.
 
     Each chart takes its own eta-gcd with the eta-derivative, checks that the
@@ -307,7 +307,7 @@ def annihilating_by_matrix_powers(sec: SectionData, char: CharData) -> EtaForm:
     """
     forms = []
     for chart in (0, 1):
-        cp = char.char_form().dehomogenize(chart)
+        cp = char.dehomogenize(chart)
         g = eta_gcd(cp, cp.derivative())
         minimal = cp if g.degree() == 0 else (cp * g.lead).exact_div(g)
         if minimal.lead != UniPoly.one():

@@ -583,6 +583,16 @@ def test_each_curve_builds_each_chart_matrix_once(monkeypatch):
         assert len({(id(mat), x) for mat, x in points}) == len(points), job["command"]
 
 
+def _one_job_per_command() -> dict:
+    """A job for every command; the singular one takes gcds over residue
+    fields of degree > 1."""
+    jobs = {job["command"]: job for job in curve_jobs()}
+    jobs["genus"] = {"command": "genus", "cover": {"r": 3}, "twist_degree": 2}
+    jobs["pushforward"] = {"command": "pushforward", "cover": {"r": 3}, "line_degree": 4}
+    assert set(jobs) == set(cli._DISPATCH)
+    return jobs
+
+
 def test_tracer_only_functions_have_no_production_caller(monkeypatch):
     # the benchmark's tracer wraps these by name, but no command calls them:
     # every command, the repro corpus, a pullback stability job with an
@@ -598,17 +608,35 @@ def test_tracer_only_functions_have_no_production_caller(monkeypatch):
     moduli = _count_everywhere(monkeypatch, exactalg, "kpoly_gcd", lambda args, out: args[2])
     assert cli.build_repro_doc()["jobs"]
     moduli.clear()
-    jobs = {job["command"]: job for job in curve_jobs()}
+    jobs = _one_job_per_command()
     pullback = dict(jobs["stability"], section={"0": {"degree": 2, "coeffs": [1, -2, 3]}})
-    jobs["genus"] = {"command": "genus", "cover": {"r": 3}, "twist_degree": 2}
-    jobs["pushforward"] = {"command": "pushforward", "cover": {"r": 3}, "line_degree": 4}
-    assert set(jobs) == set(cli._DISPATCH)
     for job in jobs.values():
         cli.run_job(job)
     # only the singular job takes residue-field gcds
     assert moduli and all(p.degree() > 1 for p in moduli)
     records = cli.run_job(pullback)["results"]["records"]
     assert [rec["kind"] for rec in records] == ["block", "block", "eigen"]
+
+
+def test_every_other_traced_function_has_a_production_caller(monkeypatch, tmp_path):
+    # the benchmark's tracer wraps perfbench/layers.py's TRACED names from
+    # outside, so a layer reads nonzero only while a command calls its name;
+    # with the tracer-only functions above, this fixes which layers can, and
+    # a stage routed around its traced name fails here
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    calls = {}
+    for name, (module, attr) in layers.TRACED.items():
+        module = importlib.import_module(f"speccover.{module}")
+        calls[name] = _count_everywhere(monkeypatch, module, attr, lambda args, out: None)
+    out = str(tmp_path / "out.json")
+    assert cli.main(["repro", "--output", out]) == 0
+    for command, job in _one_job_per_command().items():
+        assert cli.main([command, "--input", write_job(tmp_path, job), "--output", out]) == 0, command
+    tracer_only = {"stability.kernel_basis", "exactalg.eta_gcd", "spectral.annihilating_poly"}
+    assert {name for name, seen in calls.items() if seen} == set(layers.TRACED) - tracer_only
 
 
 def test_stability_job_factors_nothing(monkeypatch):

@@ -1410,9 +1410,8 @@ def test_kpoly_gcd_drops_the_image_of_an_unlucky_prime(monkeypatch):
     assert seen[0] == (_Q0, 2) and seen[1][1] == 1
     # with eta - q0 q1, two unlucky images agree on eta^2 - eta, and only
     # the exact division refutes it, at the first image: the monic inputs
-    # fail to divide each other, and the candidate a does not divide b.
-    # The second image reconstructs the refuted candidate, which is not
-    # divided again
+    # fail to divide each other, and a, tried last, is kept as refuted.
+    # The first and second images reconstruct a, which is not divided again
     seen.clear()
     divided = []
     original = exactalg._divides_in_field
@@ -1425,7 +1424,7 @@ def test_kpoly_gcd_drops_the_image_of_an_unlucky_prime(monkeypatch):
     b = _kpoly_mul(c, _kpoly(mod, -_Q0 * _nth_prime(1), 1), mod)
     assert exactalg.kpoly_gcd(a, b, mod) == euclid_kpoly_gcd(a, b, mod) == c
     assert [d for _, d in seen] == [2, 2, 1]
-    assert divided == [2, 2, 2, 2, 1, 1]
+    assert divided == [2, 2, 1, 1]
     # an unlucky image after a lucky one is dropped, not combined: eta - N
     # with N near 2^50 needs two primes to reconstruct, and q1 is unlucky.
     # The reconstruction modulo q0 alone is wrong and fails to divide a

@@ -139,10 +139,9 @@ def test_char_poly_is_power_of_reduced():
     for _ in range(40):
         r = rng.choice([2, 4, 6])
         sec = rand_section(rng, r, 2)
-        data = invariant_sections(sec)
-        char = data.char_form()
-        reduced = annihilating_poly(sec, data)
-        rep = intermediate_factorization(sec, SpectralCurve(data, reduced))
+        char = invariant_sections(sec)
+        reduced = annihilating_poly(sec, char)
+        rep = intermediate_factorization(sec, SpectralCurve(char, reduced))
         assert (reduced**rep.subcover_index).coeffs == char.coeffs
         if 1 < rep.subcover_index < r:
             seen_proper += 1
@@ -158,7 +157,7 @@ def test_factored_section_recomputes_reduced_poly():
         data = invariant_sections(sec)
         reduced = annihilating_poly(sec, data)
         rep = intermediate_factorization(sec, SpectralCurve(data, reduced))
-        again = invariant_sections(rep.tau).char_form()
+        again = invariant_sections(rep.tau)
         assert again.coeffs == reduced.coeffs
 
 

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import F, bf, bidouble_cover, char_poly_by_elimination, ep, rand_binform, rng_for, up
+from conftest import F, bf, bidouble_cover, char_poly_by_elimination, elementary, ep, rand_binform, rng_for, up
 from oracles import (
     NonDepressedCubicError,
     annihilating_by_matrix_powers,
+    char_poly_by_berkowitz,
     decompose_section,
     euclid_singular_eta,
+    mult_matrix_by_forms,
     triple_singularity_test,
     triple_test_cubic,
 )
@@ -37,11 +39,12 @@ from speccover.exactalg import (
     UniPoly,
     annihilates_unit,
     factor_rational,
+    homogenize,
     reduce_mod,
     vanishing_order,
 )
+from speccover.serialize import chardata_to_json, form_to_json
 from speccover.spectral import (
-    CharData,
     EtaForm,
     SingularPoint,
     SpectralCurve,
@@ -98,9 +101,9 @@ def test_conic_invariant_sections():
     for d in range(1, 5):
         f = rand_binform(rng, d - 1, nonzero=True)
         data = invariant_sections(section(2, d, {1: f}))
-        assert data.elementary[0] == BinForm.zero(d)
-        assert data.elementary[1] == -(S * T * f * f)
-        assert data.char_form().coeffs == conic_form(f).coeffs
+        assert elementary(data)[0] == BinForm.zero(d)
+        assert elementary(data)[1] == -(S * T * f * f)
+        assert data.coeffs == conic_form(f).coeffs
 
 
 def test_general_double_invariant_sections():
@@ -108,17 +111,17 @@ def test_general_double_invariant_sections():
     g = bf(1, [1, 1])
     data = invariant_sections(section(2, 2, {0: f, 1: g}))
     # (eta - f)^2 - st g^2
-    assert data.signed_coefficient(1) == -(f * 2)
-    assert data.signed_coefficient(2) == f * f - S * T * g * g
+    assert data.coeff(1) == -(f * 2)
+    assert data.coeff(0) == f * f - S * T * g * g
 
 
 def test_triple_invariant_sections():
     f = bf(1, [2, 1])
     g = bf(1, [1, -1])
     data = invariant_sections(section(3, 2, {1: f, 2: g}))
-    assert data.elementary[0] == BinForm.zero(2)
-    assert data.elementary[1] == -(S * T * f * g * 3)
-    assert data.elementary[2] == S * T * T * f**3 + S * S * T * g**3
+    assert elementary(data)[0] == BinForm.zero(2)
+    assert elementary(data)[1] == -(S * T * f * g * 3)
+    assert elementary(data)[2] == S * T * T * f**3 + S * S * T * g**3
 
 
 def test_general_cyclic_triple_curve():
@@ -129,9 +132,9 @@ def test_general_cyclic_triple_curve():
     h = bf(1, [0, 1])
     sec = SectionData(alg, 2, {1: g, 2: h})
     data = invariant_sections(sec)
-    assert data.elementary[1] == -(a * b * g * h * 3)
-    assert data.elementary[2] == a * a * b * g**3 + a * b * b * h**3
-    delta = eta_discriminant(data.char_form())
+    assert elementary(data)[1] == -(a * b * g * h * 3)
+    assert elementary(data)[2] == a * a * b * g**3 + a * b * b * h**3
+    delta = eta_discriminant(data)
     assert delta == (a * b) ** 2 * (a * g**3 - b * h**3) ** 2 * 27
 
 
@@ -142,14 +145,40 @@ def test_char_oracle_elimination_small():
         d = rng.randint(1, 3)
         sec = decompose_section(r, d, rand_binform(rng, r * d))
         data = invariant_sections(sec)
-        assert data.char_form().dehomogenize(0) == char_poly_by_elimination(sec)
+        assert data.dehomogenize(0) == char_poly_by_elimination(sec)
 
 
 def test_invariant_sections_rank_one():
     h = bf(2, [1, 0, 4])
     data = invariant_sections(section(1, 2, {0: h}))
-    assert data.elementary == (h,)
-    assert data.char_form().coeffs == (-h, BinForm.const(1))
+    assert elementary(data) == (h,)
+    assert data.coeffs == (-h, BinForm.const(1))
+
+
+def test_report_signs_match_trace_and_determinant():
+    # the report's e_1 is Tr M = r h_0 (Tr M = r (M e_0)_0, as
+    # char_poly_matrix proves) and its e_r is det M, which Berkowitz gives
+    # as (-1)^r times the constant term; neither side uses the encoder's sign
+    rng = rng_for("report-signs")
+    covers = [make_standard_cyclic(r) for r in range(1, 6)] + [
+        make_double_cover(bf(2, [-1, 0, 1])),
+        make_cyclic_triple(bf(1, [1, 2]), bf(1, [-1, 3])),
+        bidouble_cover(),
+    ]
+    for cover in covers:
+        r, iden = cover.degree, cover.group.identity()
+        for _ in range(4):
+            d = rng.randint(1, 3)
+            comps = {}
+            for rho in cover.group.elements():
+                if d >= cover.twist(rho) and rng.random() < 0.8:
+                    comps[rho] = rand_binform(rng, d - cover.twist(rho), nonzero=True)
+            sec = SectionData(cover, d, comps)
+            got = chardata_to_json(invariant_sections(sec))["elementary"]
+            assert len(got) == r
+            assert got[0] == form_to_json(sec.component(iden) * r)
+            det = char_poly_by_berkowitz(mult_matrix_by_forms(sec)).coeff(0) * (-1) ** r
+            assert got[-1] == form_to_json(homogenize(det, r * d, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +204,7 @@ def test_annihilating_degree4_support2():
 def test_annihilating_generic_triple_is_char():
     sec = section(3, 2, {1: bf(1, [2, 1]), 2: bf(1, [1, -1])})
     char = invariant_sections(sec)
-    assert annihilating_poly(sec, char).coeffs == char.char_form().coeffs
+    assert annihilating_poly(sec, char).coeffs == char.coeffs
 
 
 def test_annihilating_matches_matrix_power_oracle():
@@ -198,19 +227,7 @@ def test_annihilating_matches_matrix_power_oracle():
     )
     for sec in sections:
         char = invariant_sections(sec)
-        # the chart-0 polynomial the reduced part starts from is the one
-        # the elementary forms describe
-        assert char.chart0 == char.char_form().dehomogenize(0)
         assert annihilating_poly(sec, char).coeffs == annihilating_by_matrix_powers(sec, char).coeffs
-
-
-def test_annihilating_poly_needs_invariant_sections():
-    sec = section(3, 2, {1: bf(1, [2, 1]), 2: bf(1, [1, -1])})
-    char = invariant_sections(sec)
-    by_hand = CharData(char.rank, char.twist, char.elementary)
-    assert by_hand == char and by_hand.chart0 is None
-    with pytest.raises(ValueError, match="invariant_sections"):
-        annihilating_poly(sec, by_hand)
 
 
 def test_annihilating_refuses_an_unreduced_square(monkeypatch):
@@ -246,7 +263,7 @@ def test_annihilation_check_refuses_a_perturbed_minimal_polynomial(monkeypatch):
 def test_spectral_curve_bundles_consistently():
     sec = section(4, 2, {2: bf(1, [1, 1])})
     curve = spectral_curve(sec)
-    assert curve.char.rank == 4
+    assert curve.char.degree == 4
     assert curve.annihilating.degree == 2
     assert not curve.integral
     assert spectral_curve(section(1, 2, {0: bf(2, [1, 0, 1])})).integral
@@ -263,8 +280,8 @@ def test_singular_locus_refuses_non_squarefree_polynomial():
     # r = 4 with support {2}: the characteristic polynomial is the square of
     # the annihilating one, so its eta-discriminant vanishes identically
     curve = spectral_curve(section(4, 2, {2: bf(1, [1, 1])}))
-    assert curve.char.char_form() == curve.annihilating * curve.annihilating
-    unreduced = SpectralCurve(curve.char, curve.char.char_form())
+    assert curve.char == curve.annihilating * curve.annihilating
+    unreduced = SpectralCurve(curve.char, curve.char)
     with pytest.raises(NonReducedCurveError, match="not squarefree"):
         singular_locus(unreduced)
 
@@ -461,9 +478,7 @@ def test_singular_locus_unrepresentable_eta():
         BinForm.const(1),
     ]
     form = EtaForm(1, coeffs)
-    e2 = form.coeff(2)
-    char = CharData(4, 1, [BinForm.zero(1), e2, BinForm.zero(3), form.coeff(0)])
-    curve = SpectralCurve(char, form)
+    curve = SpectralCurve(form, form)
     with pytest.raises(SingularityNotRepresentableError):
         singular_locus(curve)
 
@@ -479,9 +494,7 @@ def test_singular_locus_refutes_colliding_branch_points():
     left = EtaForm(1, [t * t - S * T, t * -2, one])
     right = EtaForm(1, [t * t - S * T, t * 2, one])
     form = left * right
-    coeffs = [form.coeff(4 - i) for i in range(1, 5)]
-    elem = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs, start=1)]
-    curve = SpectralCurve(CharData(4, 1, elem), form)
+    curve = SpectralCurve(form, form)
     pts = singular_locus(curve)
     assert [sp.point for sp in pts] == [ProjPoint.of(1, 1), ProjPoint.of(1, 0)]
     assert all(sp.eta == 0 for sp in pts)

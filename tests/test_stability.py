@@ -296,26 +296,26 @@ def test_kernel_two_dimensional():
 
 def test_search_rank_one_conic_is_empty():
     for m in (-2, 0, 3):
-        res = subsheaves(SplitBundle([m]), conic(bf(1, [1, 1])))
-        assert res.records == ()
+        records = subsheaves(SplitBundle([m]), conic(bf(1, [1, 1])))
+        assert records == ()
 
 
 def test_search_blocks_for_two_summands():
-    res = subsheaves(SplitBundle([0, 1]), conic(bf(1, [1, 1])))
-    kinds = [(rec.kind, rec.indices) for rec in res.records]
+    records = subsheaves(SplitBundle([0, 1]), conic(bf(1, [1, 1])))
+    kinds = [(rec.kind, rec.indices) for rec in records]
     assert kinds == [("block", (0,)), ("block", (1,))]
-    assert res.records[0].degrees == (0, -1)
-    assert res.records[0].hilbert == HilbertPoly(F(1), F(1, 2))
-    assert res.records[1].degrees == (0, 0)
-    assert res.records[1].hilbert == HilbertPoly(F(1), F(1))
+    assert records[0].degrees == (0, -1)
+    assert records[0].hilbert == HilbertPoly(F(1), F(1, 2))
+    assert records[1].degrees == (0, 0)
+    assert records[1].hilbert == HilbertPoly(F(1), F(1))
 
 
 def test_search_pullback_blocks_and_eigen():
     sec = section(2, 1, {0: bf(1, [2, 3])})
-    res = subsheaves(SplitBundle([0, 1]), sec)
-    kinds = [rec.kind for rec in res.records]
+    records = subsheaves(SplitBundle([0, 1]), sec)
+    kinds = [rec.kind for rec in records]
     assert kinds == ["block", "block", "eigen"]
-    eigen = res.records[-1]
+    eigen = records[-1]
     assert eigen.eigenvalue == up(2, 3)
     assert eigen.rank == 1
     assert eigen.degrees == (0,)
@@ -334,7 +334,7 @@ def test_eigen_records_match_the_kernel_oracle():
         m_degrees = SplitBundle([rng.randint(-3, 3) for _ in range(rng.randint(1, 5))])
         ample = rng.randint(1, 3)
         roots = roots_of(sec)
-        records = invariant_subsheaf_search(m_degrees, sec, roots, ample).records
+        records = invariant_subsheaf_search(m_degrees, sec, roots, ample)
         eigen = [rec for rec in records if rec.kind == "eigen"]
         assert len(eigen) == 1 and records[-1] is eigen[0]
         assert eigen == eigen_records_by_kernel(m_degrees, sec, roots, ample), (r, d, m_degrees)
@@ -356,7 +356,7 @@ def test_search_refuses_a_root_the_section_does_not_act_by():
     ]:
         with pytest.raises(InternalCheckError):
             invariant_subsheaf_search(bundle, sec, (lam,))
-    assert invariant_subsheaf_search(bundle, section(2, 1, {0: h0}), (up(2, 3),)).records[-1].kind == "eigen"
+    assert invariant_subsheaf_search(bundle, section(2, 1, {0: h0}), (up(2, 3),))[-1].kind == "eigen"
 
 
 def test_search_record_ranks_are_proper():
@@ -364,9 +364,9 @@ def test_search_record_ranks_are_proper():
     for _ in range(10):
         degs = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
         sec = section(2, 2, {1: rand_binform(rng, 1, nonzero=True)})
-        res = subsheaves(SplitBundle(degs), sec)
+        records = subsheaves(SplitBundle(degs), sec)
         total = 2 * len(degs)
-        for rec in res.records:
+        for rec in records:
             assert 0 < rec.rank < total
 
 
@@ -411,8 +411,8 @@ def test_gieseker_past_twenty_ramified_bases_is_stable():
     for v0 in vals:
         f = f * up(-v0, 1)
     sec = conic(BinForm(20, list(f.coeffs)))
-    v, search, integrality = gieseker_verdict(SplitBundle([0]), sec, 1)
-    assert search.records == ()
+    v, records, integrality = gieseker_verdict(SplitBundle([0]), sec, 1)
+    assert records == ()
     assert integrality.certified
     assert (v.status, v.method, v.notes) == ("stable", "prop-stability", ())
 
