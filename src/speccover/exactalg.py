@@ -22,12 +22,15 @@ Conventions used by the whole package:
   i.e. lc(f)^deg(g) * prod g(alpha) over the roots alpha of f.
 
 The kernels over Q[w] work over Z.  `PolyMatrix` stores a matrix over Z
-and keeps, at each integer point, the vectors B(x)^j e_0 that its kernels
-share.  `char_poly_matrix` and `resultant` evaluate at w = 0, 1, ..., D
-for a degree bound D and interpolate exactly; each characteristic
-polynomial comes from the power sums of a regular representation by
-Newton's identities, every division checked exact.  `annihilates_unit`
-checks that an integer vector vanishes at those points.
+and keeps, at one packed point w = X = 2^K (Kronecker substitution, K
+from an l1 bound on the matrix), the vectors B(X)^j e_0 that its kernels
+share.  `char_poly_matrix` takes the characteristic polynomial of a
+regular representation from the power sums there by Newton's identities,
+and reads each coefficient off the balanced base-2^K digits of one
+integer, every division checked exact.  `annihilates_unit` checks that an
+integer vector vanishes at a point whose K bounds its coefficients.
+`resultant` evaluates at w = 0, 1, ..., D for a degree bound D and
+interpolates exactly.
 `min_poly_matrix` takes the squarefree part as an exact k-th root over
 Z[w], certified at one base and by an exact power check.  Berkowitz and
 remainder sequences over Q[w] run only in the tests, as oracles.
@@ -974,12 +977,15 @@ class PolyMatrix:
     lists of some multiple of the matrix.  ``rows``, the UniPoly entries, is
     built on first use.
 
-    The kernels read the matrix at integer points: ``krylov(x, k)`` holds
-    B(x) for B = den * A and the vectors B(x)^j e_0, kept with the matrix,
-    so every kernel that visits the point x shares them.
+    The kernels read the matrix at one packed point X = 2^K (Kronecker
+    substitution): ``packed(k)`` holds the integer matrix B(X) for
+    B = den * A and the integer vectors B(X)^j e_0, kept with the matrix
+    and extended on demand, so the characteristic polynomial and the
+    annihilation checks share them.  ``row_bound`` gives the l1 bound that
+    fixes K.
     """
 
-    __slots__ = ("n", "den", "deg", "ints", "_rows", "_points")
+    __slots__ = ("n", "den", "deg", "ints", "_rows", "_packed")
 
     def __init__(self, rows: Sequence[Sequence[UniPoly]]):
         fixed = tuple(tuple(e if isinstance(e, UniPoly) else UniPoly.const(as_rat(e)) for e in r) for r in rows)
@@ -1012,7 +1018,7 @@ class PolyMatrix:
         self.n, self.den, self.ints = n, den // g, ints
         self.deg = max(0, max(len(cs) - 1 for row in ints for cs in row))
         self._rows = None
-        self._points = {}
+        self._packed = None
 
     @property
     def rows(self) -> tuple[tuple[UniPoly, ...], ...]:
@@ -1024,26 +1030,41 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> UniPoly:
         return self.rows[i][j]
 
-    def _at(self, x: int) -> list[list[int]]:
-        """The integer matrix B(x)."""
-        powers = [x**k for k in range(self.deg + 1)]
-        return [[sum(map(mul, cs, powers)) for cs in row] for row in self.ints]
+    def row_bound(self) -> int:
+        """R = max(1, max_i sum_j ||B_ij||_1) for B = den * A, with ||p||_1
+        the sum of the absolute values of p's coefficients.
 
-    def krylov(self, x: int, k: int) -> list[list[int]]:
-        """The vectors v_j = B(x)^j e_0 for j = 0, 1, ..., at least up to
-        j = k, with B = den * A.
-
-        B(x) is evaluated once per point, and each vector is one product
-        v_j = B(x) v_(j-1).  Both are kept with the matrix and extended on
-        demand, so callers must not change them.
+        ||p q||_1 <= ||p||_1 ||q||_1, so each entry of B v has norm at most
+        R times the largest norm of an entry of v, and each entry of
+        B^j e_0 has norm at most R^j.
         """
-        point = self._points.get(x)
-        if point is None:
-            point = self._points[x] = (self._at(x), [[1] + [0] * (self.n - 1)])
-        b, vecs = point
+        return max(1, max(sum(abs(c) for cs in row for c in cs) for row in self.ints))
+
+    def _pack_matrix(self, bits: int) -> list[list[int]]:
+        """The integer matrix B(2^bits)."""
+        return [[_pack(cs, bits) for cs in row] for row in self.ints]
+
+    def packed(self, k: int, bits: int = 0) -> tuple[int, list[list[int]]]:
+        """(K, [v_0, v_1, ...]) with v_j = B(X)^j e_0 at X = 2^K, B = den * A,
+        at least up to j = k, and K >= bits.
+
+        The first call packs the matrix at K = bit_length(n 2^n R^n) + 2,
+        R = ``row_bound``, which ``char_poly_matrix`` needs, or at bits when
+        that is larger; a later call that needs a larger K than the point
+        held packs the matrix again there.  Each vector is one product
+        v_j = B(X) v_(j-1).  The point and its vectors are kept with the
+        matrix and extended on demand, so callers must not change them.
+        """
+        point = self._packed
+        if point is None or point[0] < bits:
+            n = self.n
+            own = ((n << n) * self.row_bound() ** n).bit_length() + 2
+            bits = max(bits, own)
+            point = self._packed = (bits, self._pack_matrix(bits), [[1] + [0] * (n - 1)])
+        bits, b, vecs = point
         while len(vecs) <= k:
             vecs.append(_mat_vec(b, vecs[-1]))
-        return vecs
+        return bits, vecs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -1072,6 +1093,38 @@ class PolyMatrix:
 def _mat_vec(b: list[list[int]], vec: list[int]) -> list[int]:
     """The integer matrix-vector product b * vec."""
     return [sum(map(mul, row, vec)) for row in b]
+
+
+def _pack(cs: Sequence[int], bits: int) -> int:
+    """The integer polynomial cs, ascending, at 2^bits."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc << bits) + c
+    return acc
+
+
+def _unpack(v: int, bits: int) -> list[int]:
+    """The balanced base-2^bits digits of v, ascending and trimmed: the
+    coefficients of the one integer polynomial p with p(2^bits) = v whose
+    coefficients all lie in [-2^(bits-1), 2^(bits-1)).
+
+    A nonzero such p does not vanish at X = 2^bits: with c_m its lowest
+    nonzero coefficient, p(X) / X^m is c_m modulo X, and 0 < |c_m| < X.
+    So two such polynomials that agree at X are equal, and an integer
+    polynomial whose coefficients are all smaller than 2^(bits-1) in
+    absolute value is zero exactly when it vanishes at X, and is
+    ``_unpack`` of its value there.
+    """
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while v:
+        d = v & mask
+        v >>= bits
+        if d >= half:
+            d -= mask + 1
+            v += 1
+        out.append(d)
+    return out
 
 
 def _interpolate_int(values: Sequence[int]) -> list[int]:
@@ -1115,30 +1168,33 @@ def char_poly_matrix(a: PolyMatrix) -> EtaPoly:
     zero, and v_0 e_0 acts as v_0 id.  Outside the premise the result is
     wrong, or a Newton division raises.
 
-    B = den * A (``PolyMatrix``) has entries in Z[w], and with e = a.deg
-    the coefficient of eta^(n-i) in det(eta * id - B) has degree at most
-    i * e in w.  So it is interpolated exactly from its values at
-    x = 0, ..., n * e.  At each, the power sums p_k = n (B(x)^k e_0)_0,
-    k = 1..n, come from the matrix's Krylov vectors, n products in all, and
-    Newton's identities k c_k = -(c_(k-1) p_1 + ... + c_0 p_k) give the
-    c_k.  These are integers, so a division by k with a remainder raises.
-    Dividing the interpolated coefficient by den^i gives that of A.
+    B = den * A (``PolyMatrix``) has entries in Z[w], and its characteristic
+    polynomial det(eta * id - B) = sum_k c_k eta^(n-k) has c_k in Z[w],
+    (-1)^k times the sum of the k x k principal minors of B.  Each minor has
+    norm at most R^k, R = ``a.row_bound()``: the product of the
+    minor's row sums of entry norms bounds its permanent, which bounds its
+    sum of terms.  So ||k c_k||_1 <= k binom(n, k) R^k <= n 2^n R^n, below
+    2^(K-1) for the K where the matrix is packed (``PolyMatrix.packed``).
+
+    At X = 2^K the power sums p_k(X) = n (B(X)^k e_0)_0, k = 1..n, come from
+    the matrix's packed vectors, n products in all, and Newton's identity
+    a_k = k c_k = -(c_(k-1) p_1 + ... + c_0 p_k) gives a_k(X) from the
+    c_j(X), j < k.  The balanced base-2^K digits of a_k(X) are then the
+    coefficients of a_k (``_unpack``); each must be divisible by k, else
+    this raises, and c_k(X) = a_k(X) / k follows exactly.  Dividing c_k by
+    den^k gives the coefficient of eta^(n-k) for A.
     """
-    n, den, deg = a.n, a.den, a.deg
-    samples = []
-    for x in range(n * deg + 1):
-        sums = [n * v[0] for v in a.krylov(x, n)[1 : n + 1]]
-        out = [1]
-        for k in range(1, n + 1):
-            c, rem = divmod(-sum(map(mul, out, sums[k - 1 :: -1])), k)
-            if rem:
-                raise InternalCheckError("a Newton identity does not divide exactly: the trace premise fails")
-            out.append(c)
-        samples.append(out)
-    coeffs = []
-    for i in range(n + 1):
-        ints = _interpolate_int([s[i] for s in samples[: i * deg + 1]])
-        coeffs.append(UniPoly(Fraction(c, den**i) for c in ints))
+    n, den = a.n, a.den
+    bits, vecs = a.packed(n)
+    sums = [n * v[0] for v in vecs[1 : n + 1]]
+    values, coeffs = [1], [UniPoly.one()]
+    for k in range(1, n + 1):
+        ak = -sum(map(mul, values, sums[k - 1 :: -1]))
+        quo = [divmod(c, k) for c in _unpack(ak, bits)]
+        if any(rem for _, rem in quo):
+            raise InternalCheckError("a Newton identity does not divide exactly: the trace premise fails")
+        values.append(ak // k)
+        coeffs.append(UniPoly(Fraction(q, den**k) for q, _ in quo))
     out = EtaPoly(reversed(coeffs))
     if out.degree() != n or out.lead != UniPoly.one():
         raise InternalCheckError("characteristic polynomial is not monic of the right degree")
@@ -1174,7 +1230,7 @@ def eta_gcd(f: EtaPoly, g: EtaPoly) -> EtaPoly:
 
 
 def annihilates_unit(a: PolyMatrix, poly: EtaPoly) -> bool:
-    """Whether poly(A) e_0 = 0, decided over Z at the points w = 0, ..., D.
+    """Whether poly(A) e_0 = 0, decided over Z at one packed point.
 
     When A is the regular representation of an associative algebra whose
     basis vector 0 is the unit, as ``covers.mult_matrix`` is, poly(A) is
@@ -1184,32 +1240,28 @@ def annihilates_unit(a: PolyMatrix, poly: EtaPoly) -> bool:
     of poly's coefficient denominators and c_j = pden den^(e-j) p_j in
     Z[w], c_j B^j = pden den^e p_j A^j, so the integer vector
     u = sum_j c_j B^j e_0 is pden den^e poly(A) e_0, zero exactly when
-    poly(A) e_0 is.  Each entry of B^j is a sum of products of j entries of
-    B, of degree at most j t for t = deg A, so each entry of u has degree at
-    most D = max_j (deg p_j + j t) in w, and a polynomial of degree at most
-    D that vanishes at D + 1 points is zero.  u(x) = sum_j c_j(x) v_j is
-    read off the matrix's Krylov vectors v_j = B(x)^j e_0.
+    poly(A) e_0 is.  Each entry of B^j e_0 has norm at most R^j,
+    R = ``a.row_bound()``, so each entry of u has norm at most
+    N = sum_j ||c_j||_1 R^j.  At X = 2^K with N < 2^(K-1), each entry of u
+    is zero exactly when it vanishes at X (``_unpack``), and
+    u(X) = sum_j c_j(X) v_j is read off the matrix's packed vectors
+    v_j = B(X)^j e_0.
 
-    Those are shared with ``char_poly_matrix``, which made v_0..v_n at
-    x = 0..n t.  When poly is monic and, at every w, each root of poly(w, .)
-    is an eigenvalue of A(w), as for the squarefree part m of the
-    characteristic polynomial (m^k = char), D <= e t <= n t and this check
-    makes no product of its own.  For real |w| >= 1 each entry of A(w) is at
-    most C |w|^t in size, so each eigenvalue is at most n C |w|^t, and
-    p_j(w) = +-e_(e-j)(roots of poly(w, .)) is at most
-    binom(e, j) (n C |w|^t)^(e-j): deg p_j <= (e - j) t.  The roots of
-    m(w, .) are those of char(w, .), so e <= n too.
+    Those are shared with ``char_poly_matrix``, which made v_0..v_n, so a
+    poly of degree at most n whose N fits the matrix's point makes no
+    product of its own.  A larger N packs the matrix again at a larger
+    point, so the answer is exact either way; that N fits is measured, not
+    proved, for the squarefree parts the commands check (every chart matrix
+    of the benchmark's workloads is packed once).
     """
     pc = _int_coeff_lists(poly.coeffs)[0]
     e = len(pc) - 1
-    den, deg = a.den, a.deg
+    den, r = a.den, a.row_bound()
     cs = [[c * den ** (e - j) for c in p] for j, p in enumerate(pc)]
-    bound = max((len(c) - 1 + j * deg for j, c in enumerate(cs) if c), default=0)
-    for x in range(bound + 1):
-        cx = [_horner(c, x) for c in cs]
-        if any(sum(map(mul, cx, entry)) for entry in zip(*a.krylov(x, e)[: e + 1])):
-            return False
-    return True
+    bound = sum(sum(map(abs, c)) * r**j for j, c in enumerate(cs))
+    bits, vecs = a.packed(e, bound.bit_length() + 1)
+    cx = [_pack(c, bits) for c in cs]
+    return not any(sum(map(mul, cx, entry)) for entry in zip(*vecs[: e + 1]))
 
 
 def _kth_root(cs: list, k: int):
@@ -1272,14 +1324,19 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
     Q(w) with the roots of char_B, so it is sqfree(char_B) whatever k was
     guessed, and w0 is the first base where it is squarefree.
 
-    With t the largest entry degree of A, deg char_B,j <= (n - j) t, as in
-    ``char_poly_matrix``, so deg m_B,j <= (e - j) t and the discriminant of
+    With t the largest entry degree of A, deg char_B,j <= (n - j) t, since
+    char_B,j is a sum of products of n - j entries of B, so
+    deg m_B,j <= (e - j) t and the discriminant of
     m_B has degree at most n (n - 1) t in w.  A witness lies among the first
     n (n - 1) t + 1 bases, and a walk that finds none has found a defect.
 
+    At k = 1 the root is char_B itself, so m_B^k == char_B needs no check;
+    the squarefree test at the base stays, so a base where the guess k = 1
+    is wrong is still refused.
+
     m is also checked to annihilate the matrix with ``annihilates_unit``,
-    whose premise on ``a`` it inherits; that check reads the Krylov vectors
-    that ``char_poly_matrix`` made at the same points.
+    whose premise on ``a`` it inherits; that check reads the packed vectors
+    that ``char_poly_matrix`` made at the matrix's point.
     """
     den, deg = a.den, a.deg
     n = char.degree()
@@ -1288,12 +1345,16 @@ def min_poly_matrix(a: PolyMatrix, char: EtaPoly) -> tuple[EtaPoly, Fraction]:
     cs = [[x.numerator * (den ** (n - j) // x.denominator) for x in c.coeffs] for j, c in enumerate(char.coeffs)]
     for i in range(n * (n - 1) * deg + 1):
         w0 = (i + 1) // 2 * (1 if i % 2 else -1)
-        k = _fibre_exponent([_horner(c, w0) for c in cs])
-        root = _kth_root(cs, k) if k else None
-        if root is None:
-            continue
-        fibre = [_horner(c, w0) for c in root]
-        if _sqfree_degree(fibre) == len(fibre) - 1 and _is_kth_power(root, k, cs):
+        fibre = [_horner(c, w0) for c in cs]
+        k = _fibre_exponent(fibre)
+        if k == 1:
+            root = cs
+        else:
+            root = _kth_root(cs, k) if k else None
+            if root is None:
+                continue
+            fibre = [_horner(c, w0) for c in root]
+        if _sqfree_degree(fibre) == len(fibre) - 1 and (k == 1 or _is_kth_power(root, k, cs)):
             break
     else:
         raise InternalCheckError("k-th root of the characteristic polynomial is not squarefree at any base")

@@ -254,8 +254,8 @@ def _reduced_part(mats: tuple, twist: int, char: EtaForm) -> tuple[EtaForm, Frac
     The chart-1 check is not implied by the chart-0 one: it independently
     checks ``mult_matrix``'s chart-1 dehomogenization, which the two
     characteristic polynomials agreeing in ``invariant_sections`` does not
-    prove.  It runs over Z at the integer points where the chart-1
-    ``char_poly_matrix`` already made the matrix's Krylov vectors, and
+    prove.  It runs over Z at the packed point where the chart-1
+    ``char_poly_matrix`` already made the matrix's packed vectors, and
     reads them, as the chart-0 check does those of chart 0.
     """
     minimal, base = min_poly_matrix(mats[0], char.dehomogenize(0))

@@ -7,6 +7,7 @@ before the library paths existed.
 
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
 import sympy
@@ -1077,37 +1078,51 @@ def test_annihilates_unit_sees_the_last_point():
 
 
 def test_integer_points_are_shared_by_the_kernels(monkeypatch):
-    # char_poly_matrix and annihilates_unit read one set of Krylov vectors
-    # B(x)^j e_0, kept with the matrix: char_poly_matrix makes n of them per
-    # point it visits, n * deg + 1 points, and the annihilation check of the
-    # squarefree part makes none; the results match those on a fresh copy
-    # of the matrix built from its UniPoly entries, in either order
-    products = []
-    mat_vec = exactalg._mat_vec
+    # char_poly_matrix and annihilates_unit read one set of packed vectors
+    # B(X)^j e_0 at one point X = 2^K, kept with the matrix:
+    # char_poly_matrix packs the matrix once and makes n products, and the
+    # annihilation check of the squarefree part makes none and packs no
+    # second point; the results match those on a fresh copy of the matrix
+    # built from its UniPoly entries, in either order
+    products, packs = [], []
+    mat_vec, pack = exactalg._mat_vec, exactalg.PolyMatrix._pack_matrix
 
     def counted(b, vec):
         products.append(len(b))
         return mat_vec(b, vec)
 
+    def counted_pack(mat, bits):
+        packs.append((id(mat), bits))
+        return pack(mat, bits)
+
     monkeypatch.setattr(exactalg, "_mat_vec", counted)
+    monkeypatch.setattr(exactalg.PolyMatrix, "_pack_matrix", counted_pack)
     for a in _cover_matrices():
         products.clear()
+        packs.clear()
         char = char_poly_matrix(a)
-        assert products == [a.n] * (a.n * (a.n * a.deg + 1))
+        assert products == [a.n] * a.n and len(packs) == 1
+        bits, vecs = a.packed(0)
+        assert packs == [(id(a), bits)]
         m = _squarefree_part(char)
         assert annihilates_unit(a, m)
-        assert len(products) == a.n * (a.n * a.deg + 1)
-        assert a.krylov(a.deg, 1) is a.krylov(a.deg, 0)
+        assert len(products) == a.n and len(packs) == 1
+        assert a.packed(1) == (bits, vecs) and a.packed(a.n)[1] is vecs
         fresh = PolyMatrix(a.rows)
-        assert fresh == a and fresh.krylov(0, 0) is not a.krylov(0, 0)
+        assert fresh == a and fresh.packed(0)[1] is not vecs
         assert annihilates_unit(fresh, m) and char_poly_matrix(fresh) == char
-        assert fresh.krylov(a.deg, a.n) == a.krylov(a.deg, a.n)
-    # per curve: n products per point on each chart's matrix, and none in
-    # the annihilation checks of either chart
+        assert fresh.packed(a.n) == (bits, vecs)
+    # per curve: n products on one packed point of each chart's matrix, and
+    # none in the annihilation checks of either chart
     for sec in _cover_sections():
         products.clear()
+        packs.clear()
         spectral_curve(sec)
-        assert len(products) == sum(a.n * (a.n * a.deg + 1) for a in (mult_matrix(sec, 0), mult_matrix(sec, 1)))
+        curve_packs = list(packs)
+        mats = [mult_matrix(sec, 0), mult_matrix(sec, 1)]
+        assert len(products) == sum(a.n for a in mats)
+        assert len({key for key, _ in curve_packs}) == 2
+        assert sorted(bits for _, bits in curve_packs) == sorted(a.packed(0)[0] for a in mats)
 
 
 def _rescaled(cover, rng):
@@ -1127,9 +1142,9 @@ def _rescaled(cover, rng):
 def test_integer_built_kernels_match_oracles_on_rational_covers():
     # mult_matrix scales rational sections and structure forms into Z[w]
     # once; its matrix must equal the form-by-form UniPoly oracle, and the
-    # kernels that read its Krylov vectors must agree with Berkowitz and
+    # kernels that read its packed vectors must agree with Berkowitz and
     # with Horner over Q[w], also for polys of degree above n, which extend
-    # the vectors on demand, and for perturbed polys, which must fail
+    # the packed vectors on demand, and for perturbed polys, which must fail
     rng = rng_for("integer-matrix-rational-covers")
     covers = [make_standard_cyclic(r) for r in range(1, 9)]
     covers += [make_cyclic_triple(_rational_form(rng, 1), _rational_form(rng, 1)),
@@ -1157,9 +1172,82 @@ def test_integer_built_kernels_match_oracles_on_rational_covers():
                 got = annihilates_unit(a, poly)
                 assert got == annihilates_unit_by_horner(a, poly)
                 assert want is None or got == want
-            assert high.degree() > a.n and len(a.krylov(0, 0)) == high.degree() + 1
+            assert high.degree() > a.n and len(a.packed(0)[1]) == high.degree() + 1
             checked += 1
     assert checked == 44
+
+
+def test_packed_digits_round_trip_at_the_bound():
+    # an integer polynomial with coefficients in [-2^(K-1), 2^(K-1)) is the
+    # balanced base-2^K digits of its value at 2^K, at the extremes
+    # +-(2^(K-1) - 1) and -2^(K-1), with interior zeros and a negative top
+    # coefficient; one step past the bound the digits no longer are the
+    # coefficients
+    rng = rng_for("packed-digits")
+    for bits in (2, 3, 7, 30, 31, 47, 64, 543):
+        top = (1 << (bits - 1)) - 1
+        cases = [[], [top], [-top], [-top - 1], [0, 0, -1], [top, 0, 0, -top], [-top, top, 0, top, -1],
+                 [min(5, top), 0, -top - 1, 0, 0, -top], [0, top, -top - 1, top]]
+        for _ in range(20):
+            cs = [rng.choice((-top - 1, -top, -1, 0, 0, 1, top, rng.randint(-top - 1, top))) for _ in range(8)]
+            cases.append(cs + [rng.choice((-top - 1, -top, -1, 1, top))])
+        for cs in cases:
+            x = exactalg._pack(cs, bits)
+            assert x == sum(c * 2 ** (bits * i) for i, c in enumerate(cs))
+            assert exactalg._unpack(x, bits) == cs
+        assert exactalg._unpack(exactalg._pack([top + 1], bits), bits) == [-top - 1, 1]
+        assert exactalg._unpack(exactalg._pack([1, -top - 2], bits), bits) == [1, top, -1]
+
+
+def test_packed_kernels_match_oracles_within_the_bound():
+    # sections with coefficients up to +-2^40, on the built-in covers and
+    # their rational rescalings, at twists up to 12, on both charts:
+    # char_poly_matrix against Berkowitz, and annihilates_unit against
+    # Horner over Q[w] on the squarefree part, a perturbed one and a random
+    # poly; every coefficient char_poly_matrix unpacked, of a_k = k c_k for
+    # det(eta - B) = sum_k c_k eta^(n-k), has l1 norm within
+    # k binom(n, k) R^k, which lies below 2^(K-1)
+    rng = rng_for("packed-kernels")
+    covers = [make_standard_cyclic(r) for r in range(1, 6)]
+    covers += [make_cyclic_triple(bf(1, [1, 2]), bf(1, [-1, 3])), make_double_cover(bf(2, [-1, 0, 1])),
+               bidouble_cover()]
+    big = 1 << 40
+    answers = []
+    for trial in range(60):
+        cover = rng.choice(covers)
+        if trial % 2:
+            cover = _rescaled(cover, rng)
+        top = max(cover.twist_degrees.values())
+        d = rng.randint(top, 12 if cover.degree <= 3 else top + 3)
+        comps = {}
+        for rho in cover.characters():
+            if rng.random() < 0.7:
+                want = d - cover.twist(rho)
+                coeffs = [F(rng.choice((rng.randint(-big, big), big, -big, 0)), rng.choice((1, 1, 3, 7)))
+                          for _ in range(want + 1)]
+                comps[rho] = BinForm(want, coeffs)
+        sec = SectionData(cover, d, comps)
+        a = mult_matrix(sec, trial % 4 // 2)
+        char = char_poly_matrix(a)
+        assert char == char_poly_by_berkowitz(a)
+        n, den, bound = a.n, a.den, a.row_bound()
+        bits = a.packed(0)[0]
+        for k in range(1, n + 1):
+            ck = [x * den**k for x in char.coeff(n - k).coeffs]
+            assert all(x.denominator == 1 for x in ck)
+            assert k * sum(map(abs, ck)) <= k * comb(n, k) * bound**k < 1 << (bits - 1)
+        m, _ = min_poly_matrix(a, char)
+        perturbed = m + EtaPoly.const(UniPoly([F(1, 2)] + [F(rng.randint(-big, big)) for _ in range(3)]))
+        noise = EtaPoly([UniPoly([F(rng.randint(-big, big), 5) for _ in range(3)]) for _ in range(n + 2)])
+        # 2^K - w vanishes at the matrix's point: only the check's own bound,
+        # which takes a larger point, can refuse m plus it
+        vanishing = m + EtaPoly.const(UniPoly([F(1 << bits), F(-1)]))
+        for poly, want in [(m, True), (perturbed, False), (noise, None), (vanishing, False)]:
+            got = annihilates_unit(a, poly)
+            assert got == annihilates_unit_by_horner(a, poly)
+            assert want is None or got == want
+            answers.append(got)
+    assert answers.count(True) == 60
 
 
 def _int_lists(f):
